@@ -24,24 +24,27 @@ func BestK(m *kcm.Matrix, cfg Config, val Valuer, k int) ([]Rect, Stats) {
 	s := newSearcher(m, cfg, val)
 	s.topCap = 8 * k
 	s.run(cfg.LeftmostCols)
-	out, stats := selectDisjoint(m, s.top, k), s.stats
+	out, stats := s.sc.selectDisjoint(m, s.top, k), s.stats
 	s.release()
 	return out, stats
 }
 
 // selectDisjoint greedily picks up to k cube-disjoint rectangles from
-// the ranked candidate list.
-func selectDisjoint(m *kcm.Matrix, top []Rect, k int) []Rect {
+// the ranked candidate list. The picked cubes are tracked in the
+// arena's seen bitset, which is cleared again by replaying the ids it
+// set.
+func (sc *scratch) selectDisjoint(m *kcm.Matrix, top []Rect, k int) []Rect {
 	var out []Rect
-	used := map[int64]bool{}
+	used, set := sc.seen, sc.seenIDs[:0]
+	ids := sc.keep[:0]
 	for _, cand := range top {
 		if len(out) >= k {
 			break
 		}
-		ids := coveredCubeIDs(m, cand)
+		ids = appendCubeIDs(ids[:0], m, cand)
 		overlap := false
 		for _, id := range ids {
-			if used[id] {
+			if used.Test(int(id)) {
 				overlap = true
 				break
 			}
@@ -50,41 +53,49 @@ func selectDisjoint(m *kcm.Matrix, top []Rect, k int) []Rect {
 			continue
 		}
 		for _, id := range ids {
-			used[id] = true
+			if !used.Test(int(id)) {
+				used.Set(int(id))
+				set = append(set, id)
+			}
 		}
 		out = append(out, cand)
 	}
+	for _, id := range set {
+		used.Clear(int(id))
+	}
+	sc.seenIDs, sc.keep = set[:0], ids[:0]
 	return out
 }
 
-// coveredCubeIDs lists the distinct function cubes rectangle r covers.
-func coveredCubeIDs(m *kcm.Matrix, r Rect) []int64 {
-	var ids []int64
-	seen := map[int64]bool{}
+// appendCubeIDs appends the function cubes rectangle r covers to dst;
+// a cube shared by two of its entries appears twice.
+func appendCubeIDs(dst []int64, m *kcm.Matrix, r Rect) []int64 {
 	for _, rid := range r.Rows {
 		row := m.Row(rid)
 		for _, c := range r.Cols {
-			if e, ok := row.Entry(c); ok && !seen[e.CubeID] {
-				seen[e.CubeID] = true
-				ids = append(ids, e.CubeID)
+			if e, ok := row.Entry(c); ok {
+				dst = append(dst, e.CubeID)
 			}
 		}
 	}
-	return ids
+	return dst
 }
 
-// recordTop inserts cand into the searcher's bounded candidate list,
-// keeping it ordered by the deterministic rectangle ranking.
-func (s *searcher) recordTop(cand Rect) {
-	n := len(s.top)
-	if n == s.topCap && CompareRects(cand, s.top[n-1]) >= 0 {
-		return
+// insertRanked inserts cand into list, kept ordered by the
+// deterministic rectangle ranking and at most n long. It reports
+// false, leaving list unchanged, when list is full and cand ranks
+// below all of it.
+func insertRanked(list []Rect, cand Rect, n int) ([]Rect, bool) {
+	l := len(list)
+	if l == n && CompareRects(cand, list[l-1]) >= 0 {
+		return list, false
 	}
-	i := sort.Search(n, func(i int) bool { return CompareRects(cand, s.top[i]) < 0 })
-	s.top = append(s.top, Rect{})
-	copy(s.top[i+1:], s.top[i:])
-	s.top[i] = cand
-	if len(s.top) > s.topCap {
-		s.top = s.top[:s.topCap]
+	i := sort.Search(l, func(i int) bool { return CompareRects(cand, list[i]) < 0 })
+	list = append(list, Rect{})
+	copy(list[i+1:], list[i:])
+	list[i] = cand
+	if len(list) > n {
+		list = list[:n]
 	}
+	return list, true
 }

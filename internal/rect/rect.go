@@ -30,12 +30,15 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/analysis/invariant"
 	"repro/internal/bitset"
 	"repro/internal/kcm"
 )
 
 // Rect is a rectangle of the KC matrix together with its evaluated
-// gain (net literal savings if extracted).
+// gain (net literal savings if extracted). Rectangles returned by a
+// search through a Cover may share their slices with the Cover's root
+// memo, so callers treat them as read-only.
 type Rect struct {
 	// Rows are the participating row ids (each row's node profits).
 	Rows []int64
@@ -156,7 +159,10 @@ type searcher struct {
 	// effect (topCap > 0).
 	top    []Rect
 	topCap int
-	sc     *scratch
+	// local ranks the candidates of the root column being searched,
+	// capped at listCap: the unit the Cover's root memo stores.
+	local []Rect
+	sc    *scratch
 }
 
 func newSearcher(m *kcm.Matrix, cfg Config, val Valuer) *searcher {
@@ -185,7 +191,19 @@ func (s *searcher) value(e kcm.Entry) int {
 	return s.val(e)
 }
 
+// listCap is the length of the per-root ranked candidate list: the
+// BestK harvest size, or 1 (the root's best) for Best.
+func (s *searcher) listCap() int { return max(s.topCap, 1) }
+
 // run enumerates the search tree from every permitted root column.
+//
+// With a Cover and no OnBest observer, each root's complete subtree
+// result is memoized in the Cover and replayed while no Mark has
+// touched it (see Cover.Mark): its visits and evals are added as if
+// searched, so Stats stays the logical count of a full enumeration,
+// and its candidates merge into the ranking. The root where the visit
+// budget runs out is always searched live, so Truncated and the
+// partial candidate set are those of a full enumeration too.
 func (s *searcher) run(leftmost []int64) {
 	roots := leftmost
 	if roots == nil {
@@ -194,29 +212,97 @@ func (s *searcher) run(leftmost []int64) {
 		roots = append([]int64(nil), roots...)
 		sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
 	}
-	sc := s.sc
+	memo := s.cover != nil && s.cfg.OnBest == nil
+	if memo {
+		s.cover.beginSearch(s.ix, s.cfg)
+	}
 	for _, c0 := range roots {
 		dc, ok := s.ix.ColPos(c0)
 		if !ok || len(s.ix.Cols[dc].RowIDs) == 0 {
 			continue
 		}
-		if s.rootValue(dc) == 0 {
-			// Dominance prune: a rectangle containing a column
-			// whose entries are all worth zero in its row set is
-			// dominated by the same rectangle without that
-			// column (more rows, same value, cheaper kernel), so
-			// no best rectangle starts here.
-			continue
+		if memo {
+			if e := s.cover.memoized(dc, s.listCap()); e != nil && s.stats.Visits+e.visits <= s.cfg.MaxVisits {
+				s.replay(dc, e)
+				continue
+			}
 		}
-		sc.rows[0].Copy(s.ix.ColRows[dc])
-		sc.cols[0] = c0
-		sc.dcols[0] = dc
-		sc.kcost[0] = s.ix.Cols[dc].Cube.Weight()
-		s.recurse(1)
+		visits, evals := s.stats.Visits, s.stats.Evals
+		s.searchRoot(dc)
+		s.merge(s.local)
 		if s.stats.Truncated {
 			break
 		}
+		if memo {
+			s.cover.store(dc, s.local, s.stats.Visits-visits, s.stats.Evals-evals, s.listCap())
+		}
 	}
+}
+
+// searchRoot enumerates the subtree of dense root column dc live,
+// leaving its ranked candidates in s.local.
+func (s *searcher) searchRoot(dc int) {
+	s.local = s.local[:0]
+	if s.rootValue(dc) == 0 {
+		// Dominance prune: a rectangle containing a column whose
+		// entries are all worth zero in its row set is dominated by
+		// the same rectangle without that column (more rows, same
+		// value, cheaper kernel), so no best rectangle starts here.
+		return
+	}
+	sc := s.sc
+	sc.rows[0].Copy(s.ix.ColRows[dc])
+	sc.cols[0] = s.ix.ColIDs[dc]
+	sc.dcols[0] = dc
+	sc.kcost[0] = s.ix.Cols[dc].Cube.Weight()
+	s.recurse(1)
+}
+
+// merge folds one root's ranked candidates into the BestK ranking.
+// The list is ranked, so the first candidate a full ranking rejects
+// ends the merge.
+func (s *searcher) merge(cands []Rect) {
+	if s.topCap == 0 {
+		return
+	}
+	for _, r := range cands {
+		var ok bool
+		if s.top, ok = insertRanked(s.top, r, s.topCap); !ok {
+			return
+		}
+	}
+}
+
+// replay adds memoized root dc's subtree result as if it had been
+// searched.
+func (s *searcher) replay(dc int, e *rootMemo) {
+	cands := e.cands[:min(len(e.cands), s.listCap())]
+	if invariant.Enabled {
+		s.checkReplay(dc, e, cands)
+	}
+	s.stats.Visits += e.visits
+	s.stats.Evals += e.evals
+	s.merge(cands)
+	if len(cands) > 0 && s.better(cands[0]) {
+		s.best = cands[0]
+	}
+}
+
+// checkReplay re-searches root dc live on a private searcher and
+// asserts the memo entry matches it: the invariants build's proof of
+// Mark's invalidation rule.
+func (s *searcher) checkReplay(dc int, e *rootMemo, cands []Rect) {
+	live := newSearcher(s.m, s.cfg, s.val)
+	live.topCap = s.topCap
+	live.searchRoot(dc)
+	same := live.stats.Visits == e.visits && live.stats.Evals == e.evals && len(live.local) == len(cands)
+	for i := 0; same && i < len(cands); i++ {
+		same = CompareRects(live.local[i], cands[i]) == 0
+	}
+	invariant.Assert(same,
+		"stale root memo: dense root %d replayed %d visits, %d evals, %d candidates; live search %d, %d, %d (missed Mark invalidation?)",
+		dc, e.visits, e.evals, len(cands), live.stats.Visits, live.stats.Evals, len(live.local))
+	live.release()
 }
 
 // rootValue sums the claimable values of a column's entries over its
@@ -371,9 +457,7 @@ func (s *searcher) evaluate(depth int) {
 		Cols: append([]int64(nil), sc.cols[:depth]...),
 		Gain: gain,
 	}
-	if s.topCap > 0 {
-		s.recordTop(cand)
-	}
+	s.local, _ = insertRanked(s.local, cand, s.listCap())
 	if s.better(cand) {
 		if s.cfg.OnBest != nil {
 			s.cfg.OnBest(s.best, cand)
