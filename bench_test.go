@@ -176,25 +176,26 @@ func BenchmarkFig1SearchSplit(b *testing.B) {
 }
 
 // BenchmarkFig2MatrixBuild benchmarks co-kernel cube matrix
-// construction (the structure of Figure 2) on a real circuit.
+// construction (the structure of Figure 2) on a real circuit: a
+// one-shot Patcher kerneling on one worker.
 func BenchmarkFig2MatrixBuild(b *testing.B) {
 	nw := benchCircuit(b, "dalu")
 	nodes := nw.NodeVars()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		kcm.Build(context.Background(), nw, nodes, kernels.Options{})
+		kcm.NewPatcher(0, kernels.Options{}).Rebuild(context.Background(), nw, nodes, 1)
 	}
 }
 
-// BenchmarkFig2MatrixBuildParallel benchmarks the sharded
-// BuildParallel at the paper's p=6, which also carries the arena and
-// slab-assembly optimizations (labels bit-identical to Build).
+// BenchmarkFig2MatrixBuildParallel is BenchmarkFig2MatrixBuild with
+// kerneling sharded across the paper's p=6 workers (labels identical
+// for any worker count).
 func BenchmarkFig2MatrixBuildParallel(b *testing.B) {
 	nw := benchCircuit(b, "dalu")
 	nodes := nw.NodeVars()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		kcm.BuildParallel(context.Background(), nw, nodes, kernels.Options{}, 6)
+		kcm.NewPatcher(0, kernels.Options{}).Rebuild(context.Background(), nw, nodes, 6)
 	}
 }
 

@@ -129,15 +129,15 @@ func rectSuite() []Result {
 			b.ReportAllocs()
 			nodes := dalu.NodeVars()
 			for i := 0; i < b.N; i++ {
-				kcm.Build(context.Background(), dalu, nodes, kernels.Options{})
+				kcm.NewPatcher(0, kernels.Options{}).Rebuild(context.Background(), dalu, nodes, 1)
 			}
 		}),
 	}
 }
 
-// kcmSuite records the matrix-build trajectory (BENCH_kcm.json): the
-// sequential builder, the sharded parallel build at the paper's p=6,
-// and the incremental Patcher steady state, plus the end-to-end
+// kcmSuite records the matrix-build trajectory (BENCH_kcm.json): a
+// one-shot Patcher build on one worker and sharded across the paper's
+// p=6, and the incremental Patcher steady state, plus the end-to-end
 // KernelExtractCall the -gate check reads. Workloads mirror
 // BenchmarkFig2MatrixBuild* and BenchmarkKernelExtractCall in
 // bench_test.go.
@@ -149,13 +149,13 @@ func kcmSuite() []Result {
 		run("Fig2MatrixBuild/sequential", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				kcm.Build(context.Background(), dalu, nodes, kernels.Options{})
+				kcm.NewPatcher(0, kernels.Options{}).Rebuild(context.Background(), dalu, nodes, 1)
 			}
 		}),
 		run("Fig2MatrixBuild/parallel6", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				kcm.BuildParallel(context.Background(), dalu, nodes, kernels.Options{}, 6)
+				kcm.NewPatcher(0, kernels.Options{}).Rebuild(context.Background(), dalu, nodes, 6)
 			}
 		}),
 		run("Fig2MatrixBuild/incremental", func(b *testing.B) {

@@ -54,10 +54,7 @@ func LShaped(ctx context.Context, nw *network.Network, p int, opt Options) RunRe
 	// Redistribution after a failure shifts slot indices — and with
 	// them label offsets — so the patchers are rebuilt from scratch
 	// then: correctness is unaffected, only the cache is lost.
-	var pats []*kcm.Patcher
-	if !opt.DisableIncremental {
-		pats = newPatchers(p, opt.Kernel)
-	}
+	pats := newPatchers(p, opt.Kernel)
 	// failBudget bounds in-driver recovery: each lost worker costs
 	// one unit, and a run that keeps losing workers past it stops
 	// retrying and reports Failure instead of looping.
@@ -80,14 +77,12 @@ func LShaped(ctx context.Context, nw *network.Network, p int, opt Options) RunRe
 			}
 			res.Recovered += len(failed)
 			parts = redistribute(parts, failed)
-			if pats != nil {
-				// Bank the lost generation's counters, then start
-				// fresh: the surviving slots' label offsets changed.
-				for _, pt := range pats {
-					res.Build.Add(pt.Stats())
-				}
-				pats = newPatchers(len(parts), opt.Kernel)
+			// Bank the lost generation's counters, then start fresh:
+			// the surviving slots' label offsets changed.
+			for _, pt := range pats {
+				res.Build.Add(pt.Stats())
 			}
+			pats = newPatchers(len(parts), opt.Kernel)
 			mc.ClearAbort()
 			continue
 		}
@@ -235,36 +230,21 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 		wg.Add(1)
 		body := func(w int) {
 			usedNodes[w] = map[sop.Var]bool{}
-			// pw is this worker's own patcher; nil runs the
-			// from-scratch build. No other goroutine touches it.
-			var pw *kcm.Patcher
-			if pats != nil {
-				pw = pats[w]
-			}
+			// pw is this worker's own patcher; no other goroutine
+			// touches it.
+			pw := pats[w]
 
 			// Phase 1: build this partition's matrix with offset
-			// labels (concurrent, read-only on the network).
+			// labels (concurrent, read-only on the network),
+			// re-kerneling only the nodes this partition's divisions
+			// dirtied since the last call; rows served from the
+			// worker's own patcher cost nothing.
 			fault.Inject(fault.PointLShapedMatrix)
-			if pw != nil {
-				// Incremental: re-kernel only the nodes this
-				// partition's divisions dirtied since the last call;
-				// rows served from the worker's own patcher cost
-				// nothing. Labels are bit-identical to the
-				// from-scratch NewBuilder(w) build below.
-				before := pw.Stats()
-				mats[w] = pw.Rebuild(ctx, nw, parts[w], 1)
-				d := pw.Stats().Sub(before)
-				mc.ChargeKernelPairs(w, int(d.PairsKerneled))
-				mc.ChargeMatrixEntries(w, int(d.EntriesBuilt))
-			} else {
-				b := kcm.NewBuilder(w, opt.Kernel)
-				for _, v := range parts[w] {
-					b.AddNode(nw, v)
-				}
-				mats[w] = b.Matrix()
-				mc.ChargeKernelPairs(w, len(mats[w].Rows()))
-				mc.ChargeMatrixEntries(w, mats[w].NumEntries())
-			}
+			before := pw.Stats()
+			mats[w] = pw.Rebuild(ctx, nw, parts[w], 1)
+			d := pw.Stats().Sub(before)
+			mc.ChargeKernelPairs(w, int(d.PairsKerneled))
+			mc.ChargeMatrixEntries(w, int(d.EntriesBuilt))
 			// Send the kernel-cube list to the master (§5.2).
 			mc.ChargeSend(w, 0, len(mats[w].Cols()))
 			if !mc.Barrier(w) {
@@ -419,9 +399,7 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 							touched += t
 							if ch {
 								usedNodes[w][v] = true
-								if pw != nil {
-									pw.MarkDirty(nr.Node)
-								}
+								pw.MarkDirty(nr.Node)
 							}
 							continue
 						}
@@ -527,12 +505,10 @@ func processForwards(nw *network.Network, nwMu *sync.Mutex, q *fwdQueue, used ma
 		mc.ChargeLock(w)
 		if ch {
 			used[m.kvar] = true
-			if pat != nil {
-				// The divided node belongs to this worker's
-				// partition; queue it for re-kerneling on its own
-				// patcher (owner-goroutine dirty marking).
-				pat.MarkDirty(m.node)
-			}
+			// The divided node belongs to this worker's partition;
+			// queue it for re-kerneling on its own patcher
+			// (owner-goroutine dirty marking).
+			pat.MarkDirty(m.node)
 		}
 	}
 }

@@ -96,11 +96,9 @@ func Partitioned(ctx context.Context, nw *network.Network, p int, opt Options) R
 			fault.Inject(fault.PointPartitionedExtract)
 			clone := nw.CloneDetached()
 			r, calls := extract.Repeat(ctx, clone, parts[idx], extract.Options{
-				Kernel:             opt.Kernel,
-				Rect:               opt.Rect,
-				BatchK:             opt.BatchK,
-				BuildWorkers:       opt.BuildWorkers,
-				DisableIncremental: opt.DisableIncremental,
+				Kernel: opt.Kernel,
+				Rect:   opt.Rect,
+				BatchK: opt.BatchK,
 			})
 			clones[idx] = clone
 			results[idx] = r

@@ -50,14 +50,6 @@ type Options struct {
 	// nil, a call-local patcher is used — still the parallel proto
 	// build, but with no caching across calls.
 	Patcher *kcm.Patcher
-	// BuildWorkers is the worker count for the sharded matrix build.
-	// 0 picks GOMAXPROCS; the result is bit-identical to a sequential
-	// build for any value.
-	BuildWorkers int
-	// DisableIncremental stops Repeat from owning a Patcher across
-	// calls, so every call rebuilds its matrix from scratch (still via
-	// the parallel proto build). Ignored when Patcher is non-nil.
-	DisableIncremental bool
 }
 
 // Work quantifies the computation an extraction performed. The
@@ -119,6 +111,9 @@ type Result struct {
 // are candidates for the next call, as in SIS). Passing nil nodes
 // factors every current node.
 //
+// The matrix is kerneled across GOMAXPROCS goroutines; its labels are
+// the same for any worker count.
+//
 // Cancellation is cooperative: ctx is checked during the matrix build
 // and before every best-rectangle pick, so a cancelled call returns
 // promptly with Result.Cancelled set and the network function-
@@ -132,12 +127,8 @@ func KernelExtract(ctx context.Context, nw *network.Network, nodes []sop.Var, op
 	if pat == nil {
 		pat = kcm.NewPatcher(0, opt.Kernel)
 	}
-	workers := opt.BuildWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	before := pat.Stats()
-	m := pat.Rebuild(ctx, nw, nodes, workers)
+	m := pat.Rebuild(ctx, nw, nodes, runtime.GOMAXPROCS(0))
 	res.Build = pat.Stats().Sub(before)
 	// Only work actually performed is charged: rows and entries served
 	// from the patcher's cache cost nothing this call.
@@ -198,12 +189,11 @@ outer:
 //
 // Repeat owns one incremental Patcher across all its calls (unless the
 // caller supplied one): every call after the first re-kernels only the
-// nodes the previous call's divisions touched, instead of rebuilding
-// the whole matrix from scratch.
+// nodes the previous call's divisions touched.
 func Repeat(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Options) (Result, int) {
 	var total Result
 	calls := 0
-	if opt.Patcher == nil && !opt.DisableIncremental {
+	if opt.Patcher == nil {
 		opt.Patcher = kcm.NewPatcher(0, opt.Kernel)
 	}
 	active := nodes

@@ -1,8 +1,6 @@
 package kcm
 
 import (
-	"context"
-
 	"repro/internal/kernels"
 	"repro/internal/network"
 	"repro/internal/sop"
@@ -12,6 +10,12 @@ import (
 // and cube identifiers from a processor-specific offset range so that
 // concurrent builders on disjoint node sets produce globally
 // consistent labels (paper §5.2).
+//
+// Builder and Merge are the reference construction: the direct,
+// one-node-at-a-time transcription of §2 and §5.2. No production path
+// uses them — every matrix is built by a Patcher — but tests compare
+// the Patcher against them and build multi-processor fixtures with
+// them, as rect.ReferenceBest is kept for the rectangle search.
 type Builder struct {
 	m       *Matrix
 	rowSeq  int64
@@ -53,8 +57,8 @@ func (b *Builder) AddNode(nw *network.Network, v sop.Var) int {
 	return b.AddFunction(v, nd.Fn)
 }
 
-// AddFunction is AddNode for an explicit function, used by tests and
-// by algorithms that operate on function snapshots.
+// AddFunction is AddNode for an explicit function, for tests that
+// build matrices from generated expressions without a network.
 //
 // Column row-lists are restored lazily: Matrix() re-sorts any column
 // that saw an out-of-order insertion, so a build over many nodes pays
@@ -180,27 +184,11 @@ func (t *cubeTable) grow() {
 	}
 }
 
-// Build constructs the KC matrix for all the given nodes of nw using a
-// single processor-0 builder: the sequential construction of §2. The
-// build is abandoned at the next node boundary once ctx is cancelled;
-// callers that care must check ctx.Err() and discard the partial
-// matrix.
-func Build(ctx context.Context, nw *network.Network, nodes []sop.Var, opts kernels.Options) *Matrix {
-	b := NewBuilder(0, opts)
-	for _, v := range nodes {
-		if ctx.Err() != nil {
-			break
-		}
-		b.AddNode(nw, v)
-	}
-	return b.Matrix()
-}
-
 // Merge folds src into dst, unifying columns that hold the same
 // kernel cube (the smaller label wins, keeping labels deterministic
 // regardless of merge order) and re-labeling src's entries
-// accordingly. Rows are assumed disjoint from dst's — in the
-// replicated algorithm every processor kernels a disjoint node set.
+// accordingly. Rows are assumed disjoint from dst's, as when each
+// processor's Builder kernels a disjoint node set.
 func Merge(dst, src *Matrix) {
 	remap := map[int64]int64{}
 	for _, sc := range src.cols {

@@ -20,11 +20,7 @@ func TestFinalizeSingleSortIndexIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	nw, nodes := randomNetwork(r, 12)
 
-	b := NewBuilder(0, kernels.Options{})
-	for _, v := range nodes {
-		b.AddNode(nw, v)
-	}
-	m := b.Matrix()
+	m := referenceBuild(nw, nodes, 0)
 
 	// Recompute every column's row set from the rows themselves.
 	want := map[int64][]int64{}
@@ -51,7 +47,7 @@ func TestFinalizeSingleSortIndexIdentical(t *testing.T) {
 
 	// A redundant explicit sort must be a no-op: finalize left no
 	// column in a pending-unsorted state.
-	m2 := BuildParallel(context.Background(), nw, nodes, kernels.Options{}, 1)
+	m2 := NewPatcher(0, kernels.Options{}).Rebuild(context.Background(), nw, nodes, 1)
 	m2.SortColRows()
 	requireIdentical(t, m, m2)
 }
@@ -59,7 +55,7 @@ func TestFinalizeSingleSortIndexIdentical(t *testing.T) {
 // FuzzPatcherEqualsRebuild fuzzes the incremental invalidation
 // protocol: starting from a random network, a fuzz-chosen subset of
 // nodes is rewritten and marked dirty, and the patched matrix must be
-// bit-identical to a from-scratch build of the mutated network.
+// bit-identical to the reference Builder run on the mutated network.
 func FuzzPatcherEqualsRebuild(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(0b1010))
 	f.Add(int64(42), uint8(8), uint8(0b0110_1001))
@@ -90,7 +86,6 @@ func FuzzPatcherEqualsRebuild(f *testing.F) {
 		}
 
 		got := pat.Rebuild(ctx, nw, nodes, 3)
-		want := Build(ctx, nw, nodes, kernels.Options{})
-		requireIdentical(t, want, got)
+		requireIdentical(t, referenceBuild(nw, nodes, 0), got)
 	})
 }

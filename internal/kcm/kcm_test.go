@@ -235,6 +235,7 @@ func TestBuildSequential(t *testing.T) {
 	if len(m.Cols()) != 7 {
 		t.Fatalf("cols = %d want 7", len(m.Cols()))
 	}
+	requireIdentical(t, referenceBuild(nw, nw.NodeVars(), 0), m)
 }
 
 func TestDumpRendersAllRows(t *testing.T) {
@@ -260,7 +261,7 @@ func TestDumpRendersAllRows(t *testing.T) {
 func TestQuickMergeEqualsSequential(t *testing.T) {
 	nw := network.PaperExample()
 	nodes := nw.NodeVars()
-	seq := Build(context.Background(), nw, nodes, kernels.Options{})
+	seq := referenceBuild(nw, nodes, 0)
 	seqTriples := tripleSet(nw, seq)
 	cfg := &quick.Config{MaxCount: 40}
 	prop := func(seed int64) bool {

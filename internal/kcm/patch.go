@@ -5,22 +5,26 @@ package kcm
 // Patcher caches a label-free "proto" — (co-kernel, kernel cube,
 // function cube) triples in kernels.All order, with all cube storage
 // owned by a per-node arena — and a deterministic sequential assemble
-// pass assigns row/column/cube labels exactly as the sequential
+// pass assigns row/column/cube labels exactly as the reference
 // Builder would. Because labels never live in the cache:
 //
 //   - parallel kerneling (any worker count, any interleaving) yields a
-//     matrix bit-identical to the sequential Build, and
+//     matrix bit-identical to the one-node-at-a-time Builder, and
 //   - re-kerneling only the nodes a division dirtied yields a matrix
 //     bit-identical to a from-scratch rebuild.
 //
-// Invalidation protocol: MarkDirty/Drop only queue invalidation; a
-// dirty node's arena chunks are recycled at the *next* Rebuild, so the
+// The Patcher is the only production matrix constructor: Build is a
+// one-shot Patcher, and drivers keep one across calls.
+//
+// Invalidation protocol: MarkDirty only queues invalidation; a dirty
+// node's arena chunks are recycled at the *next* Rebuild, so the
 // outgoing matrix stays fully valid until its replacement exists.
 // Callers must stop using a Rebuild result once they call Rebuild
 // again on the same Patcher.
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"time"
 
@@ -75,13 +79,13 @@ func (s BuildStats) Sub(o BuildStats) BuildStats {
 // (co-kernel ∪ column) is not stored: it only determines the entry's
 // node-local cube ordinal and weight, both computed at kernel time so
 // the cube itself can live in per-batch scratch storage. ord = -1
-// records a contradictory union — the sequential Builder interns the
+// records a contradictory union — the reference Builder interns the
 // column but adds no entry, and assemble replicates that exactly.
 type protoEntry struct {
 	col     sop.Cube
 	colHash uint64
 	// ord is the first-occurrence ordinal of the entry's function cube
-	// among the node's entries in emission order; the sequential
+	// among the node's entries in emission order; the reference
 	// Builder assigns cube ids in exactly that order, so assemble can
 	// label the cube nodeCubeBase + ord + 1 without re-hashing it.
 	ord    int32
@@ -98,7 +102,7 @@ type protoPair struct {
 // nodeProto is the cached, label-free kernel data of one node. Every
 // cube it references is owned by its arena (or by the node's own
 // function expression); the arena is recycled when the proto is
-// replaced or dropped.
+// replaced.
 type nodeProto struct {
 	node    sop.Var
 	arena   *sop.Arena
@@ -130,7 +134,9 @@ type Patcher struct {
 }
 
 // NewPatcher returns a patcher whose assembled labels start at
-// proc·Stride+1, matching NewBuilder(proc, opts).
+// proc·Stride+1, the §5.2 offset of processor proc: proc 0 labels from
+// 1, proc 1 from 100001 (Example 5.1). Its matrices are bit-identical
+// to those of the reference NewBuilder(proc, opts).
 func NewPatcher(proc int, opts kernels.Options) *Patcher {
 	return &Patcher{
 		proc:   proc,
@@ -140,9 +146,6 @@ func NewPatcher(proc int, opts kernels.Options) *Patcher {
 	}
 }
 
-// Options returns the kernel options the patcher builds with.
-func (p *Patcher) Options() kernels.Options { return p.opts }
-
 // Stats returns the cumulative build counters.
 func (p *Patcher) Stats() BuildStats { return p.stats }
 
@@ -150,16 +153,6 @@ func (p *Patcher) Stats() BuildStats { return p.stats }
 // to call between Rebuilds; the current matrix stays valid.
 func (p *Patcher) MarkDirty(v sop.Var) {
 	p.dirty[v] = struct{}{}
-}
-
-// Drop forgets node v's cached proto (for nodes removed from the
-// network). Its arena is recycled at the next Rebuild.
-func (p *Patcher) Drop(v sop.Var) {
-	if np := p.protos[v]; np != nil {
-		p.retired = append(p.retired, np.arena)
-		delete(p.protos, v)
-	}
-	delete(p.dirty, v)
 }
 
 // Pending returns, in nodes order, the subset that must be
@@ -201,7 +194,7 @@ type Batch struct {
 
 // scratchArenas pools batch scratch arenas process-wide: scratch
 // storage never escapes a batch (Commit resets it before returning it
-// here), so even one-shot BuildParallel calls reuse warmed-up chunks.
+// here), so even one-shot Build calls reuse warmed-up chunks.
 var scratchArenas = sync.Pool{New: func() any { return new(sop.Arena) }}
 
 // MakeBatches hands out n batches, distributing the patcher's recycled
@@ -331,11 +324,11 @@ func (p *Patcher) recycleRetired() {
 }
 
 // Assemble builds a Matrix from the cached protos of the given nodes,
-// in nodes order, assigning labels exactly as a sequential
-// NewBuilder(proc)-driven build over the same nodes would. Nodes with
+// in nodes order, assigning labels exactly as the reference
+// NewBuilder(proc) fed the same nodes would. Nodes with
 // no cached proto are skipped (callers Commit first). nodes must not
 // repeat a node: cube ids are assigned from per-node ordinal blocks, so
-// a duplicate occurrence would get a fresh block where the sequential
+// a duplicate occurrence would get a fresh block where the reference
 // Builder reuses the first one.
 func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 	base := int64(p.proc) * Stride
@@ -411,7 +404,7 @@ func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 	rowIDSlab := make([]int64, eoff)
 	off := int32(0)
 	for i, c := range m.cols {
-		c.RowIDs = rowIDSlab[off:off : off+counts[i]]
+		c.RowIDs = rowIDSlab[off : off : off+counts[i]]
 		off += counts[i]
 	}
 	cur := 0
@@ -440,10 +433,10 @@ func slicesSortEntries(entries []Entry) {
 
 // Rebuild re-kernels the pending subset of nodes across the given
 // number of workers, then assembles the full matrix. The result is
-// bit-identical to Build(ctx, nw, nodes, opts) with proc-0 labels (or
-// NewBuilder(proc) for a non-zero proc) regardless of the worker count
-// and of how much of the cache was reused. On ctx cancellation the
-// partial result must be discarded, as with Build.
+// bit-identical to the reference NewBuilder(proc) fed the same nodes
+// in order, regardless of the worker count and of how much of the
+// cache was reused. Once ctx is cancelled no further node is kerneled,
+// and the partial result must be discarded.
 //
 // Calling Rebuild invalidates the matrix returned by the previous
 // Rebuild on this patcher: its dirty nodes' cube storage is recycled.
@@ -486,11 +479,10 @@ func (p *Patcher) Rebuild(ctx context.Context, nw *network.Network, nodes []sop.
 	return m
 }
 
-// BuildParallel constructs the KC matrix for the given nodes, sharding
-// kernel generation by output node across workers goroutines. Labels
-// are bit-identical to the sequential Build for any worker count: the
-// parallel phase produces label-free protos and a deterministic
-// sequential assemble pass assigns every identifier in node order.
-func BuildParallel(ctx context.Context, nw *network.Network, nodes []sop.Var, opts kernels.Options, workers int) *Matrix {
-	return NewPatcher(0, opts).Rebuild(ctx, nw, nodes, workers)
+// Build constructs the KC matrix of the given nodes of nw with proc-0
+// labels: a one-shot Patcher kerneling across GOMAXPROCS workers. The
+// build stops kerneling once ctx is cancelled; callers that care must
+// check ctx.Err() and discard the partial matrix.
+func Build(ctx context.Context, nw *network.Network, nodes []sop.Var, opts kernels.Options) *Matrix {
+	return NewPatcher(0, opts).Rebuild(ctx, nw, nodes, runtime.GOMAXPROCS(0))
 }

@@ -91,30 +91,64 @@ func randomNetwork(r *rand.Rand, nNodes int) (*network.Network, []sop.Var) {
 	return nw, nodes
 }
 
-func TestBuildParallelBitIdentical(t *testing.T) {
+// referenceBuild is the oracle of every patcher test: the reference
+// Builder, fed nodes one at a time, labeling from proc's §5.2 offset.
+func referenceBuild(nw *network.Network, nodes []sop.Var, proc int) *Matrix {
+	b := NewBuilder(proc, kernels.Options{})
+	for _, v := range nodes {
+		b.AddNode(nw, v)
+	}
+	return b.Matrix()
+}
+
+// testProcs and testWorkers span the label offsets and worker counts
+// the drivers use: proc 0 (Build, extract, Replicated), proc w
+// (LShaped slots, lshape.BuildMatrices), and 1–8 kerneling goroutines.
+var (
+	testProcs   = []int{0, 1, 5}
+	testWorkers = []int{1, 2, 4, 8}
+)
+
+// TestPatcherEqualsBuilderPaperExample checks a one-shot patcher
+// against the reference Builder on the Eq. 1 network and on the
+// Figure 2 partitions {G,H} and {F}, for every testProcs offset and
+// testWorkers count, Dump output included.
+func TestPatcherEqualsBuilderPaperExample(t *testing.T) {
 	ctx := context.Background()
 	nw := network.PaperExample()
-	nodes := nw.NodeVars()
-	want := Build(ctx, nw, nodes, kernels.Options{})
-	for _, p := range []int{1, 2, 4, 8} {
-		got := BuildParallel(ctx, nw, nodes, kernels.Options{}, p)
-		requireIdentical(t, want, got)
+	F, _ := nw.Names.Lookup("F")
+	G, _ := nw.Names.Lookup("G")
+	H, _ := nw.Names.Lookup("H")
+	for _, nodes := range [][]sop.Var{nw.NodeVars(), {G, H}, {F}} {
+		for _, proc := range testProcs {
+			want := referenceBuild(nw, nodes, proc)
+			for _, w := range testWorkers {
+				got := NewPatcher(proc, kernels.Options{}).Rebuild(ctx, nw, nodes, w)
+				requireIdentical(t, want, got)
+				if wd, gd := want.Dump(nw.Names), got.Dump(nw.Names); wd != gd {
+					t.Fatalf("nodes %v proc %d workers %d: Dump differs:\n%s\nvs\n%s", nodes, proc, w, wd, gd)
+				}
+			}
+		}
 	}
 }
 
-// Property: for random networks and any worker count in {1,2,4,8},
-// BuildParallel is bit-identical to the sequential Build.
-func TestQuickBuildParallelEqualsBuild(t *testing.T) {
+// Property: for random networks, a one-shot patcher at any proc offset
+// in {0,1,5} and any worker count in {1,2,4,8} is bit-identical to the
+// reference Builder at the same offset.
+func TestQuickPatcherEqualsBuilder(t *testing.T) {
 	ctx := context.Background()
-	cfg := &quick.Config{MaxCount: 30}
+	cfg := &quick.Config{MaxCount: 200}
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nw, nodes := randomNetwork(r, 3+r.Intn(8))
-		want := Build(ctx, nw, nodes, kernels.Options{})
-		for _, p := range []int{1, 2, 4, 8} {
-			got := BuildParallel(ctx, nw, nodes, kernels.Options{}, p)
-			if !identical(want, got) {
-				return false
+		for _, proc := range testProcs {
+			want := referenceBuild(nw, nodes, proc)
+			for _, w := range testWorkers {
+				got := NewPatcher(proc, kernels.Options{}).Rebuild(ctx, nw, nodes, w)
+				if !identical(want, got) {
+					return false
+				}
 			}
 		}
 		return true
@@ -156,8 +190,8 @@ func identical(want, got *Matrix) bool {
 }
 
 // Property: after a random sequence of node mutations with MarkDirty,
-// the patcher's incremental Rebuild is bit-identical to a from-scratch
-// sequential Build of the mutated network.
+// the patcher's incremental Rebuild is bit-identical to the reference
+// Builder run on the mutated network.
 func TestQuickPatcherEqualsFromScratch(t *testing.T) {
 	ctx := context.Background()
 	cfg := &quick.Config{MaxCount: 25}
@@ -166,7 +200,7 @@ func TestQuickPatcherEqualsFromScratch(t *testing.T) {
 		nw, nodes := randomNetwork(r, 4+r.Intn(6))
 		p := NewPatcher(0, kernels.Options{})
 		got := p.Rebuild(ctx, nw, nodes, 1+r.Intn(4))
-		if !identical(Build(ctx, nw, nodes, kernels.Options{}), got) {
+		if !identical(referenceBuild(nw, nodes, 0), got) {
 			return false
 		}
 		for round := 0; round < 3; round++ {
@@ -184,7 +218,7 @@ func TestQuickPatcherEqualsFromScratch(t *testing.T) {
 				p.MarkDirty(v)
 			}
 			got = p.Rebuild(ctx, nw, nodes, 1+r.Intn(4))
-			if !identical(Build(ctx, nw, nodes, kernels.Options{}), got) {
+			if !identical(referenceBuild(nw, nodes, 0), got) {
 				return false
 			}
 		}

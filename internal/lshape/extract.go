@@ -1,6 +1,8 @@
 package lshape
 
 import (
+	"context"
+
 	"repro/internal/extract"
 	"repro/internal/kcm"
 	"repro/internal/kernels"
@@ -49,15 +51,11 @@ func (c *CallResult) Work() extract.Work {
 }
 
 // BuildMatrices builds one KC matrix per partition with
-// processor-offset labels.
+// processor-offset labels: partition p labels from p·Stride+1.
 func BuildMatrices(nw *network.Network, parts [][]sop.Var, opts kernels.Options) []*kcm.Matrix {
 	mats := make([]*kcm.Matrix, len(parts))
 	for p, part := range parts {
-		b := kcm.NewBuilder(p, opts)
-		for _, v := range part {
-			b.AddNode(nw, v)
-		}
-		mats[p] = b.Matrix()
+		mats[p] = kcm.NewPatcher(p, opts).Rebuild(context.Background(), nw, part, 1)
 	}
 	return mats
 }

@@ -106,7 +106,7 @@ func (a *Arena) Cubes(n int) []Cube {
 			a.allocBytes += int64(size) * 24
 		}
 	}
-	s := a.cubes[len(a.cubes):len(a.cubes):len(a.cubes)+n]
+	s := a.cubes[len(a.cubes) : len(a.cubes) : len(a.cubes)+n]
 	a.cubes = a.cubes[:len(a.cubes)+n]
 	return s
 }

@@ -1,14 +1,23 @@
 #!/usr/bin/env bash
 # Single lint entrypoint for CI and developers: build everything,
-# run go vet, then run the repolint analyzer suite (package-local and
-# whole-program) over the tree. Finally regenerate the fault-point
-# registry and fail if the checked-in copy has drifted from the
-# injection sites actually present in the source.
+# fail on any file gofmt would rewrite, run go vet, then run the
+# repolint analyzer suite (package-local and whole-program) over the
+# tree. Finally regenerate the fault-point registry and fail if the
+# checked-in copy has drifted from the injection sites actually present
+# in the source.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== build"
 go build ./...
+
+echo "== gofmt"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "these files are not gofmt-clean; run gofmt -w on them:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== vet"
 go vet ./...
