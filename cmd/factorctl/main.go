@@ -4,9 +4,9 @@
 //
 //	factorctl [-addr URL] [-retries N] submit [-algo seq|repl|part|lshape]
 //	          [-p N] [-format blif|eqn] [-name NAME] [-deadline-ms N]
-//	          [-verify] [-wait] [-interval D] [-timeout D] FILE
+//	          [-verify] [-wait] [-timeout D] FILE
 //	factorctl [-addr URL] [-retries N] status JOB
-//	factorctl [-addr URL] [-retries N] wait [-interval D] [-timeout D] JOB
+//	factorctl [-addr URL] [-retries N] wait [-timeout D] JOB
 //	factorctl [-addr URL] result [-format blif|eqn] [-o FILE] JOB
 //	factorctl [-addr URL] cancel JOB
 //	factorctl [-addr URL] [-retries N] stats
@@ -23,9 +23,11 @@
 // server's Retry-After header — both delta-seconds and HTTP-date
 // forms — when present; -retries 0 disables.
 //
-// wait (and submit -wait) polls forever by default; -timeout bounds
-// the overall wait, printing the last observed status and exiting
-// non-zero on expiry.
+// wait (and submit -wait) asks the server to hold each status request
+// until the job finishes (GET /v1/jobs/{id}?wait=), so the final
+// status prints as soon as the server has it. It waits forever by
+// default; -timeout bounds the overall wait, printing the last
+// observed status and exiting non-zero on expiry.
 package main
 
 import (
@@ -282,23 +284,29 @@ func (e *waitTimeoutError) Error() string {
 	return fmt.Sprintf("job %s still %s after %v", e.st.ID, e.st.State, e.timeout)
 }
 
-// waitTerminal polls until the job reaches a terminal state or, with
+// waitTerminal returns once the job reaches a terminal state or, with
 // timeout > 0, the overall bound expires (returning *waitTimeoutError
-// with the last observed status).
-func (c *client) waitTerminal(id string, interval, timeout time.Duration) (service.Status, error) {
+// with the last observed status). It sends status requests back to
+// back, each asking the server to hold it until the job finishes, for
+// at most the remaining timeout or service.MaxStatusWait.
+func (c *client) waitTerminal(id string, timeout time.Duration) (service.Status, error) {
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
 	for {
-		st, err := c.status(id)
+		wait := service.MaxStatusWait
+		if !deadline.IsZero() {
+			wait = max(0, min(wait, time.Until(deadline)))
+		}
+		var st service.Status
+		err := c.getJSON("/v1/jobs/"+id+"?wait="+wait.String(), &st)
 		if err != nil || st.State.Terminal() {
 			return st, err
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return st, &waitTimeoutError{st: st, timeout: timeout}
 		}
-		time.Sleep(interval)
 	}
 }
 
@@ -335,8 +343,7 @@ func cmdSubmit(c *client, args []string) error {
 		name       = fs.String("name", "", "circuit name (default: model name / file stem)")
 		deadlineMS = fs.Int("deadline-ms", 0, "job deadline in ms (0: server default)")
 		verify     = fs.Bool("verify", false, "request a post-run equivalence check")
-		wait       = fs.Bool("wait", false, "poll until the job finishes and print its final status")
-		interval   = fs.Duration("interval", 200*time.Millisecond, "poll interval with -wait")
+		wait       = fs.Bool("wait", false, "wait until the job finishes and print its final status")
 		timeout    = fs.Duration("timeout", 0, "overall bound on -wait (0: wait forever)")
 	)
 	fs.Parse(args)
@@ -367,7 +374,7 @@ func cmdSubmit(c *client, args []string) error {
 		printJSON(sub)
 		return nil
 	}
-	return finishWait(c.waitTerminal(sub.ID, *interval, *timeout))
+	return finishWait(c.waitTerminal(sub.ID, *timeout))
 }
 
 func cmdStatus(c *client, args []string) error {
@@ -386,13 +393,12 @@ func cmdStatus(c *client, args []string) error {
 
 func cmdWait(c *client, args []string) error {
 	fs := flag.NewFlagSet("wait", flag.ExitOnError)
-	interval := fs.Duration("interval", 200*time.Millisecond, "poll interval")
 	timeout := fs.Duration("timeout", 0, "overall bound on the wait (0: wait forever)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("wait needs exactly one job id")
 	}
-	return finishWait(c.waitTerminal(fs.Arg(0), *interval, *timeout))
+	return finishWait(c.waitTerminal(fs.Arg(0), *timeout))
 }
 
 func cmdResult(c *client, args []string) error {

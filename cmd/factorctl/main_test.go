@@ -155,13 +155,23 @@ func TestSubmitStopsWhenBudgetSpent(t *testing.T) {
 }
 
 func TestWaitTimeoutReturnsLastStatus(t *testing.T) {
+	var waits []time.Duration
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Hold the request for its wait, as factord does for a job
+		// that does not finish.
+		d, err := time.ParseDuration(r.URL.Query().Get("wait"))
+		if err != nil {
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
+		waits = append(waits, d)
+		time.Sleep(d)
 		w.Write([]byte(`{"id":"job-7","state":"RUNNING"}`))
 	}))
 	defer ts.Close()
 	c := &client{bases: []string{ts.URL}}
 	start := time.Now()
-	st, err := c.waitTerminal("job-7", 5*time.Millisecond, 50*time.Millisecond)
+	st, err := c.waitTerminal("job-7", 50*time.Millisecond)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("wait did not respect its bound (took %v)", elapsed)
 	}
@@ -171,6 +181,16 @@ func TestWaitTimeoutReturnsLastStatus(t *testing.T) {
 	}
 	if wte.st.State != service.StateRunning || st.State != service.StateRunning {
 		t.Fatalf("last observed state = %s/%s, want RUNNING", wte.st.State, st.State)
+	}
+	// Each request waits out at most the remaining timeout, so the
+	// first one spends nearly all of it and the client never spins.
+	if len(waits) == 0 || len(waits) > 3 {
+		t.Fatalf("sent %d status requests (waits %v), want 1 to 3", len(waits), waits)
+	}
+	for _, d := range waits {
+		if d > 50*time.Millisecond {
+			t.Fatalf("asked the server to wait %v, beyond the 50ms timeout", d)
+		}
 	}
 	// finishWait must propagate the timeout as a failure for the
 	// non-zero exit.
@@ -183,6 +203,9 @@ func TestWaitWithoutTimeoutStopsAtTerminal(t *testing.T) {
 	var calls int
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls++
+		if got, want := r.URL.Query().Get("wait"), service.MaxStatusWait.String(); got != want {
+			t.Errorf("wait = %q, want the server cap %q", got, want)
+		}
 		if calls < 3 {
 			w.Write([]byte(`{"id":"job-8","state":"QUEUED"}`))
 			return
@@ -191,7 +214,7 @@ func TestWaitWithoutTimeoutStopsAtTerminal(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := &client{bases: []string{ts.URL}}
-	st, err := c.waitTerminal("job-8", time.Millisecond, 0)
+	st, err := c.waitTerminal("job-8", 0)
 	if err != nil || st.State != service.StateDone {
 		t.Fatalf("waitTerminal = (%s, %v), want DONE", st.State, err)
 	}

@@ -63,10 +63,8 @@ type Config struct {
 	DeadAfter time.Duration
 	// ReplicateInterval is the cache-replication flush period.
 	ReplicateInterval time.Duration
-	// RemotePoll is how often a forwarding watcher polls the owner
-	// for the proxied job's state.
-	RemotePoll time.Duration
-	// HTTPTimeout bounds each peer HTTP request.
+	// HTTPTimeout bounds each peer HTTP request. A forwarding watcher
+	// asks the owner to hold each status request for half of it.
 	HTTPTimeout time.Duration
 	// Transport overrides the HTTP transport for peer traffic. The
 	// partition harness injects a link-dropping transport here; nil
@@ -89,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReplicateInterval <= 0 {
 		c.ReplicateInterval = 500 * time.Millisecond
-	}
-	if c.RemotePoll <= 0 {
-		c.RemotePoll = 100 * time.Millisecond
 	}
 	if c.HTTPTimeout <= 0 {
 		c.HTTPTimeout = 2 * time.Second

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,6 +51,33 @@ type testNode struct {
 	ts     *httptest.Server
 	addr   string
 	cancel context.CancelFunc
+	// polls counts the status requests the node served.
+	polls *statusCounter
+}
+
+// statusCounter wraps a node's handler and counts the
+// GET /v1/jobs/{id} requests it serves, per job id.
+type statusCounter struct {
+	next http.Handler
+	mu   sync.Mutex
+	// n is guarded by mu.
+	n map[string]int
+}
+
+func (c *statusCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if id, ok := strings.CutPrefix(r.URL.Path, "/v1/jobs/"); ok && r.Method == http.MethodGet && !strings.Contains(id, "/") {
+		c.mu.Lock()
+		c.n[id]++
+		c.mu.Unlock()
+	}
+	c.next.ServeHTTP(w, r)
+}
+
+// count reports how many status requests for job id were served.
+func (c *statusCounter) count(id string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[id]
 }
 
 func (tn *testNode) url() string { return "http://" + tn.addr }
@@ -98,15 +126,15 @@ func (tc *testCluster) startNode(id string, seeds []string) *testNode {
 		SuspectAfter:      150 * time.Millisecond,
 		DeadAfter:         400 * time.Millisecond,
 		ReplicateInterval: 25 * time.Millisecond,
-		RemotePoll:        20 * time.Millisecond,
 		HTTPTimeout:       time.Second,
 		Transport:         tc.pnet.Transport(id),
 	}, srv)
-	ts := &httptest.Server{Listener: l, Config: &http.Server{Handler: node.Handler(srv.Handler())}}
+	polls := &statusCounter{next: node.Handler(srv.Handler()), n: map[string]int{}}
+	ts := &httptest.Server{Listener: l, Config: &http.Server{Handler: polls}}
 	ts.Start()
 	srv.Start()
 	node.Start()
-	tn := &testNode{id: id, srv: srv, node: node, ts: ts, addr: addr, cancel: cancel}
+	tn := &testNode{id: id, srv: srv, node: node, ts: ts, addr: addr, cancel: cancel, polls: polls}
 	tc.t.Cleanup(func() {
 		ts.Close()
 		srv.Shutdown()
@@ -177,6 +205,7 @@ func waitTerminal(t *testing.T, tn *testNode, id string, within time.Duration) s
 // wireStats mirrors the parts of /v1/stats the tests read.
 type wireStats struct {
 	Cache   service.CacheStats `json:"cache"`
+	Pool    service.PoolStats  `json:"pool"`
 	Cluster cluster.Stats      `json:"cluster"`
 }
 
@@ -404,6 +433,114 @@ func TestOwnerUnreachableMidJobRequeuesWithoutLoss(t *testing.T) {
 	if rq := statsOf(t, tc.nodes["n1"]).Cluster.RemoteRequeues; rq < 1 {
 		t.Fatalf("remote_requeues = %d, want >= 1", rq)
 	}
+}
+
+// holdOwner makes node's pool block each job right after it turns
+// RUNNING until release is called, and reports each held job's id (on
+// that node) on started.
+func holdOwner(t *testing.T, tn *testNode) (started <-chan string, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	ids := make(chan string, 8) // more than any test here forwards
+	tn.srv.Pool().OnJobRunning = func(j *service.Job) {
+		ids <- j.ID
+		<-gate
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return ids, release
+}
+
+func awaitOwnerJob(t *testing.T, started <-chan string) string {
+	t.Helper()
+	select {
+	case rid := <-started:
+		return rid
+	case <-time.After(5 * time.Second):
+		t.Fatal("forwarded job never started on its owner")
+	}
+	return ""
+}
+
+func TestCancelForwardedJobWhileOwnerWaits(t *testing.T) {
+	ids := []string{"n1", "n2", "n3"}
+	tc := startCluster(t, ids)
+	tc.waitConverged(5 * time.Second)
+	n1, n2 := tc.nodes["n1"], tc.nodes["n2"]
+	started, release := holdOwner(t, n2)
+
+	spec, _ := specFor(t, ids, "n2")
+	sub := submitTo(t, n1, service.SubmitRequest{Format: "blif", Circuit: paperBLIF, Spec: spec})
+	rid := awaitOwnerJob(t, started)
+	computed := statsOf(t, n1).Pool.Computed
+
+	// The watcher on n1 is now inside a waiting status request to n2
+	// almost all the time, so the cancel lands during a peer call.
+	deadline := time.Now().Add(5 * time.Second)
+	for n2.polls.count(rid) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("n1 never asked n2 for the forwarded job's status")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	req, err := http.NewRequest(http.MethodDelete, n1.url()+"/v1/jobs/"+sub.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	if st := waitTerminal(t, n1, sub.ID, 10*time.Second); st.State != service.StateCancelled {
+		t.Fatalf("cancelled forwarded job on n1: %s (%s), want CANCELLED", st.State, st.Error)
+	}
+	release()
+	if st := waitTerminal(t, n2, rid, 10*time.Second); st.State != service.StateCancelled {
+		t.Fatalf("owner's copy on n2: %s (%s), want CANCELLED", st.State, st.Error)
+	}
+	if got := statsOf(t, n1).Pool.Computed; got != computed {
+		t.Fatalf("n1 computed %d jobs after the cancel (was %d): the cancelled job re-ran locally", got, computed)
+	}
+}
+
+func TestForwardedJobFinishesWithOwner(t *testing.T) {
+	ids := []string{"n1", "n2", "n3"}
+	tc := startCluster(t, ids)
+	tc.waitConverged(5 * time.Second)
+	n1, n2 := tc.nodes["n1"], tc.nodes["n2"]
+	started, release := holdOwner(t, n2)
+
+	spec, _ := specFor(t, ids, "n2")
+	sub := submitTo(t, n1, service.SubmitRequest{Format: "blif", Circuit: paperBLIF, Spec: spec})
+	rid := awaitOwnerJob(t, started)
+	time.Sleep(300 * time.Millisecond)
+	release()
+
+	st1 := waitTerminal(t, n1, sub.ID, 10*time.Second)
+	// Read before this test asks n2 itself: every request so far is
+	// the watcher's.
+	polls := n2.polls.count(rid)
+	st2 := statusOf(t, n2, rid)
+	if st1.State != service.StateDone || st2.State != service.StateDone {
+		t.Fatalf("forwarded job: n1 %s (%s), n2 %s (%s), want DONE on both",
+			st1.State, st1.Error, st2.State, st2.Error)
+	}
+	// The owner holds each of the watcher's status requests until the
+	// job finishes or 500 ms (half the 1 s HTTPTimeout) pass, so a
+	// 300 ms job costs one request, or two on a slow host ...
+	if polls > 2 {
+		t.Fatalf("n2 served %d status requests for the forwarded job, want at most 2", polls)
+	}
+	// ... and the accepting node finishes within a round trip of the
+	// owner. The bound is half a 100 ms polling period, which a
+	// watcher that polls on a timer would miss.
+	if lag := st1.FinishedAt.Sub(*st2.FinishedAt); lag > 50*time.Millisecond {
+		t.Fatalf("n1 finished %v after n2, want under 50ms", lag)
+	}
+	checkEquivalent(t, n1, sub.ID)
 }
 
 func TestHandoffSyncsCacheToRejoinedNode(t *testing.T) {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -52,9 +51,13 @@ func (n *Node) requeue(j *service.Job) {
 }
 
 // watch proxies one job to its owner and mirrors the outcome into the
-// local job table: submit, poll to a terminal state, fetch the
-// factored network. Any transport failure along the way falls back to
-// the local queue.
+// local job table: submit, wait for a terminal state, fetch the
+// factored network. Each status request asks the owner to hold it
+// until the job finishes, for at most half the peer client's timeout,
+// so the outcome lands here as soon as the owner has it. A peer call
+// that fails because the watcher's context ended (a client cancel or a
+// node shutdown) resolves through mirrorCancel; any other failure
+// falls back to the local queue.
 func (n *Node) watch(ctx context.Context, j *service.Job, addr string) {
 	if err := fault.InjectErr(fault.PointClusterForward); err != nil {
 		n.requeue(j)
@@ -62,62 +65,67 @@ func (n *Node) watch(ctx context.Context, j *service.Job, addr string) {
 	}
 	rid, err := n.postJob(ctx, addr, j)
 	if err != nil {
-		n.requeue(j)
+		n.peerFailed(ctx, j, addr, "")
 		return
 	}
-	for {
-		select {
-		case <-ctx.Done():
-			n.mirrorCancel(j, addr, rid)
-			return
-		case <-time.After(n.cfg.RemotePoll):
-		}
-		st, err := n.getStatus(ctx, addr, rid)
-		if err != nil {
+	var st *service.Status
+	for st == nil || !st.State.Terminal() {
+		if st, err = n.getStatus(ctx, addr, rid, n.cfg.HTTPTimeout/2); err != nil {
 			// Owner unreachable (crashed, partitioned, or draining):
 			// the accepted job must still finish, so run it here.
-			n.requeue(j)
+			n.peerFailed(ctx, j, addr, rid)
 			return
 		}
-		if !st.State.Terminal() {
-			continue
+	}
+	switch st.State {
+	case service.StateDone:
+		res, err := n.fetchResult(ctx, addr, rid, st)
+		if err != nil {
+			n.peerFailed(ctx, j, addr, rid)
+			return
 		}
-		switch st.State {
-		case service.StateDone:
-			res, err := n.fetchResult(ctx, addr, rid, st)
-			if err != nil {
-				n.requeue(j)
-				return
-			}
-			j.FinishRemote(service.StateDone, res, st.CacheHit, "")
-			// Keep a local copy so a resubmission here hits without
-			// another hop. PutReplicated (not Put) so the entry is not
-			// broadcast back at its origin.
-			if !res.Degraded {
-				n.srv.Router().Cache().PutReplicated(j.Key, res, n.clock.Now())
-			}
-		case service.StateFailed:
-			j.FinishRemote(service.StateFailed, nil, false, st.Error)
-		case service.StateCancelled:
-			// Cancelled remotely without a local request — the owner
-			// was draining. Recover locally instead of surfacing a
-			// cancellation the client never asked for.
-			if j.CancelRequested() {
-				j.FinishRemote(service.StateCancelled, nil, false, st.Error)
-			} else {
-				n.requeue(j)
-			}
+		j.FinishRemote(service.StateDone, res, st.CacheHit, "")
+		// Keep a local copy so a resubmission here hits without
+		// another hop. PutReplicated (not Put) so the entry is not
+		// broadcast back at its origin.
+		if !res.Degraded {
+			n.srv.Router().Cache().PutReplicated(j.Key, res, n.clock.Now())
 		}
-		return
+	case service.StateFailed:
+		j.FinishRemote(service.StateFailed, nil, false, st.Error)
+	case service.StateCancelled:
+		// Cancelled remotely without a local request — the owner
+		// was draining. Recover locally instead of surfacing a
+		// cancellation the client never asked for.
+		if j.CancelRequested() {
+			j.FinishRemote(service.StateCancelled, nil, false, st.Error)
+		} else {
+			n.requeue(j)
+		}
 	}
 }
 
+// peerFailed resolves a watcher whose peer call failed: when the
+// watcher's own context ended, the failure is the cancel's doing and
+// mirrorCancel finishes the job; otherwise the owner is unreachable and
+// the job goes back to the local queue. rid is empty when the forward
+// itself failed.
+func (n *Node) peerFailed(ctx context.Context, j *service.Job, addr, rid string) {
+	if ctx.Err() != nil {
+		n.mirrorCancel(j, addr, rid)
+		return
+	}
+	n.requeue(j)
+}
+
 // mirrorCancel resolves a watcher whose context ended: a local client
-// cancellation is propagated to the owner (best effort), a node
-// shutdown just marks the job cancelled.
+// cancellation is propagated to the owner (best effort, when the owner
+// accepted the job), a node shutdown just marks the job cancelled.
 func (n *Node) mirrorCancel(j *service.Job, addr, rid string) {
 	if j.CancelRequested() {
-		n.cancelRemote(addr, rid)
+		if rid != "" {
+			n.cancelRemote(addr, rid)
+		}
 		j.FinishRemote(service.StateCancelled, nil, false, "cancelled")
 		return
 	}

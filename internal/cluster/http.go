@@ -283,9 +283,11 @@ func (n *Node) postJob(ctx context.Context, addr string, j *service.Job) (string
 	return sub.ID, nil
 }
 
-func (n *Node) getStatus(ctx context.Context, addr, rid string) (*service.Status, error) {
+// getStatus reads a remote job's status, asking the owner to hold the
+// request until the job is terminal or wait passes.
+func (n *Node) getStatus(ctx context.Context, addr, rid string, wait time.Duration) (*service.Status, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+addr+"/v1/jobs/"+rid, nil)
+		"http://"+addr+"/v1/jobs/"+rid+"?wait="+wait.String(), nil)
 	if err != nil {
 		return nil, err
 	}

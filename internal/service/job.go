@@ -163,6 +163,10 @@ type Job struct {
 	// registration (empty without a data dir), like nw.
 	circuit string
 
+	// done is closed on the job's single transition into a terminal
+	// state, under mu; GET /v1/jobs/{id}?wait= blocks on it.
+	done chan struct{}
+
 	// notify, when non-nil, observes every lifecycle transition; the
 	// durability layer journals them through it. Installed once at
 	// registration, before the job is visible to any worker, and
@@ -203,6 +207,7 @@ func newJob(id, name string, spec Spec, key string, nw *network.Network, deadlin
 		Key:       key,
 		Deadline:  deadline,
 		nw:        nw,
+		done:      make(chan struct{}),
 		state:     StateQueued,
 		submitted: time.Now(),
 	}
@@ -235,9 +240,7 @@ func (j *Job) Cancel() bool {
 	switch j.state {
 	case StateQueued:
 		j.cancelRequested = true
-		j.state = StateCancelled
-		j.errMsg = "cancelled before start"
-		j.finished = time.Now()
+		j.terminateLocked(StateCancelled, "cancelled before start")
 		j.mu.Unlock()
 		j.fireNotify(StateCancelled)
 		return true
@@ -291,15 +294,23 @@ func (j *Job) finish(state State, res *Result, cacheHit bool, errMsg string) {
 		j.mu.Unlock()
 		return
 	}
-	j.state = state
 	j.result = res
 	j.cacheHit = cacheHit
-	j.errMsg = errMsg
 	j.cancel = nil
 	j.remoteNode = ""
-	j.finished = time.Now()
+	j.terminateLocked(state, errMsg)
 	j.mu.Unlock()
 	j.fireNotify(state)
+}
+
+// terminateLocked enters the terminal state and closes done. The
+// caller holds mu and has checked that the job is not yet terminal, so
+// done closes exactly once.
+func (j *Job) terminateLocked(state State, errMsg string) {
+	j.state = state
+	j.errMsg = errMsg
+	j.finished = time.Now()
+	close(j.done)
 }
 
 // CancelRequested reports whether a client asked to cancel the job.
@@ -341,17 +352,24 @@ func (j *Job) FinishRemote(state State, res *Result, cacheHit bool, errMsg strin
 
 // requeueLocal returns a remotely-RUNNING job to QUEUED so the local
 // pool can pick it up — the degraded path when its owner became
-// unreachable. It reports false when the job already reached a
-// terminal state (nothing to recover).
+// unreachable. A job whose client asked to cancel it finishes
+// CANCELLED instead: the cancel wins over the requeue. It reports
+// false when the job is terminal on return (nothing to recover).
 func (j *Job) requeueLocal() bool {
 	j.mu.Lock()
 	if j.state != StateRunning {
 		j.mu.Unlock()
 		return false
 	}
-	j.state = StateQueued
 	j.remoteNode = ""
 	j.cancel = nil
+	if j.cancelRequested {
+		j.terminateLocked(StateCancelled, "cancelled")
+		j.mu.Unlock()
+		j.fireNotify(StateCancelled)
+		return false
+	}
+	j.state = StateQueued
 	j.started = time.Time{}
 	j.mu.Unlock()
 	j.fireNotify(StateQueued)
@@ -365,12 +383,13 @@ func (j *Job) requeueLocal() bool {
 func (j *Job) restoreTerminal(state State, res *Result, cacheHit bool, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = state
+	if j.state.Terminal() {
+		return
+	}
 	j.result = res
 	j.cacheHit = cacheHit
-	j.errMsg = errMsg
 	j.submitted = time.Now()
-	j.finished = time.Now()
+	j.terminateLocked(state, errMsg)
 }
 
 // persistView returns the fields the durability layer journals and

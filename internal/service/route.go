@@ -97,9 +97,11 @@ func (rt *Router) Dispatch(j *Job, forwarded bool) error {
 
 // Requeue returns a remotely-running job to the local queue — the
 // degraded-local path when its owner became unreachable mid-job. A
-// job that reached a terminal state in the meantime (client cancel)
-// is left alone; a job that cannot be re-admitted is cancelled
-// (draining) or failed (overload) rather than silently dropped.
+// job whose client asked to cancel it finishes CANCELLED instead,
+// decided under the job's lock, so a cancel never re-runs the job
+// locally. A job that reached a terminal state in the meantime is left
+// alone; a job that cannot be re-admitted is cancelled (draining) or
+// failed (overload) rather than silently dropped.
 func (rt *Router) Requeue(j *Job) {
 	if !j.requeueLocal() {
 		return

@@ -54,6 +54,10 @@ type Config struct {
 	SnapshotInterval time.Duration
 }
 
+// MaxStatusWait caps the ?wait= of GET /v1/jobs/{id}: the longest a
+// status request is held open waiting for its job to finish.
+const MaxStatusWait = 30 * time.Second
+
 // DefaultConfig returns serving defaults suitable for one host.
 func DefaultConfig() Config {
 	return Config{
@@ -142,6 +146,9 @@ type Server struct {
 	persist *persistor
 
 	draining atomic.Bool
+	// drain is closed when draining first flips to true; it releases
+	// status requests held by ?wait=.
+	drain chan struct{}
 
 	// clusterStats, when non-nil, contributes the cluster section of
 	// GET /v1/stats. Installed by the cluster layer before serving.
@@ -160,6 +167,7 @@ func NewServer(ctx context.Context, cfg Config) *Server {
 		router: NewRouter(q, c, cfg.MaxJobs),
 		pool:   NewPool(ctx, cfg.Workers, q, c, cfg.DefaultDeadline, cfg.MaxDeadline),
 		ctx:    ctx,
+		drain:  make(chan struct{}),
 	}
 }
 
@@ -213,11 +221,15 @@ func (s *Server) Start() {
 }
 
 // Shutdown drains gracefully: admission stops (503 on submit, /readyz
-// flips), queued jobs are cancelled, in-flight jobs get the configured
-// grace before their contexts are cancelled, and the durability layer
-// writes a final snapshot.
+// flips), status requests held by ?wait= are released, queued jobs are
+// cancelled, in-flight jobs get the configured grace before their
+// contexts are cancelled, and the durability layer writes a final
+// snapshot.
 func (s *Server) Shutdown() {
 	already := s.draining.Swap(true)
+	if !already {
+		close(s.drain)
+	}
 	s.pool.Shutdown(s.cfg.DrainGrace)
 	if p := s.persist; p != nil && !already {
 		p.finalize()
@@ -398,7 +410,34 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no such job")
 		return
 	}
+	if v := r.URL.Query().Get("wait"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 {
+			writeErr(w, http.StatusBadRequest, "bad wait %q: want a non-negative duration such as 500ms", v)
+			return
+		}
+		if !s.awaitTerminal(r.Context(), j, min(d, MaxStatusWait)) {
+			writeErr(w, http.StatusServiceUnavailable, "server is draining")
+			return
+		}
+	}
 	writeJSON(w, http.StatusOK, j.Snapshot())
+}
+
+// awaitTerminal holds a status request until j is terminal, d passes or
+// the client goes away. It reports false when the server is draining
+// and j is still not terminal: a draining server holds no request, and
+// a caller that polled it again at once would spin until it exits.
+func (s *Server) awaitTerminal(ctx context.Context, j *Job, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-j.done:
+	case <-t.C:
+	case <-ctx.Done():
+	case <-s.drain:
+	}
+	return j.State().Terminal() || !s.draining.Load()
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -79,7 +79,7 @@ submit_async() {
 assert_recovered() {
     "$tmp/factorctl" -retries 0 status "$1" >/dev/null \
         || { echo "$2: accepted job $1 lost across restart" >&2; exit 1; }
-    "$tmp/factorctl" wait -interval 100ms -timeout 60s "$1" > "$tmp/recovered.json" \
+    "$tmp/factorctl" wait -timeout 60s "$1" > "$tmp/recovered.json" \
         || { echo "$2: job $1 did not reach DONE after restart" >&2; cat "$tmp/recovered.json" >&2; exit 1; }
     grep -q '"state": "DONE"' "$tmp/recovered.json"
     "$tmp/factorctl" result -format eqn -o "$tmp/recovered.eqn" "$1"
@@ -106,7 +106,7 @@ for stage in accepted running done; do
             done
             ;;
         done)
-            "$tmp/factorctl" wait -interval 50ms -timeout 60s "$id" >/dev/null
+            "$tmp/factorctl" wait -timeout 60s "$id" >/dev/null
             ;;
     esac
     stop_hard
@@ -141,7 +141,7 @@ start_daemon "$data" "durable.fsync=error:1:1"
 id=$("$tmp/factorctl" submit -algo seq -format eqn "$circuit" 2>/dev/null \
     | sed -n 's/.*"id": "\(job-[0-9]*\)".*/\1/p')
 [ -n "$id" ] || { echo "fsync: submission failed even with retries" >&2; exit 1; }
-"$tmp/factorctl" wait -interval 50ms -timeout 60s "$id" >/dev/null
+"$tmp/factorctl" wait -timeout 60s "$id" >/dev/null
 stop_hard
 start_daemon "$data"
 assert_recovered "$id" "fsync"
@@ -151,7 +151,7 @@ echo "== snapshot fault (journal-only recovery)"
 data="$tmp/data-snapshot"
 start_daemon "$data" "durable.snapshot=error:1:1000000" "200ms"
 id=$(submit_async)
-"$tmp/factorctl" wait -interval 50ms -timeout 60s "$id" >/dev/null
+"$tmp/factorctl" wait -timeout 60s "$id" >/dev/null
 sleep 0.5 # let a few snapshot attempts fail; the journal must carry everything
 stop_hard
 start_daemon "$data"
@@ -162,7 +162,7 @@ echo "== replay fault on restart (boot from prefix)"
 data="$tmp/data-replay"
 start_daemon "$data"
 id=$(submit_async)
-"$tmp/factorctl" wait -interval 50ms -timeout 60s "$id" >/dev/null
+"$tmp/factorctl" wait -timeout 60s "$id" >/dev/null
 stop_hard
 # Replay dies after consuming the admission record; the boot must
 # succeed with that prefix and recompute the job.
