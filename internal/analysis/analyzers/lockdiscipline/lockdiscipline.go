@@ -33,8 +33,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
 	Doc: `fields commented "guarded by <mu>" are only touched under <mu>, never reentrantly
 
-The concurrent extraction core's shared state (StateTable, fwdQueue,
-the vtime barrier words) is protected by plain sync.Mutex. This
+The concurrent extraction core's mutable shared state (fwdQueue, the
+vtime barrier words) is protected by plain sync.Mutex. This
 analyzer turns the "guarded by" comments into a checked contract, so an
 unsynchronized write (the SetOwnerCheck bug class) or a reentrant
 acquire is a lint failure instead of a latent race.`,

@@ -6,7 +6,7 @@ package a
 
 import "sync"
 
-// Table mimics core.StateTable.
+// Table is a map and a flag behind one mutex.
 type Table struct {
 	mu sync.Mutex
 	// vals is guarded by mu.

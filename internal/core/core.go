@@ -83,8 +83,10 @@ type RunResult struct {
 	TotalWork int64
 	// Barriers counts completed barrier synchronizations.
 	Barriers int64
-	// WallClock is the real elapsed time (informational only on a
-	// single-core host; see DESIGN.md).
+	// WallClock is the real elapsed time. Speedups are taken in
+	// virtual time: the reference host has 2 vCPUs, so wall-clock
+	// speedup is measurable only up to p=2 (core.wall_speedup_p2 in
+	// the end-to-end benchmark; see DESIGN.md §2).
 	WallClock time.Duration
 	// DNF reports that the run exceeded its work budget and was
 	// aborted, like the paper's '-' entries in Table 2.

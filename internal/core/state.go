@@ -25,7 +25,9 @@
 package core
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis/invariant"
 )
@@ -80,44 +82,103 @@ func legalTransition(old, next CubeState) bool {
 	}
 }
 
-type cubeInfo struct {
-	state   CubeState
-	trueval int
-	owner   int
+// cubeWord packs one cube's whole entry in the table — its Table 5
+// state, owner and trueval — so that a reader gets all three from one
+// atomic load: bits 0–1 hold the state, bits 2–31 the owner and bits
+// 32–63 the trueval. The zero word is a FREE cube, so an id that was
+// never written reads FREE.
+type cubeWord uint64
+
+const (
+	ownerShift = 2
+	trueShift  = 32
+	maxOwner   = 1<<(trueShift-ownerShift) - 1
+	maxTrueval = 1<<(64-trueShift) - 1
+)
+
+func packCube(s CubeState, owner, trueval int) cubeWord {
+	if owner < 0 || owner > maxOwner || trueval < 0 || uint64(trueval) > maxTrueval {
+		panic(fmt.Sprintf("core: cube owner %d or trueval %d does not fit the state word", owner, trueval))
+	}
+	return cubeWord(s) | cubeWord(owner)<<ownerShift | cubeWord(trueval)<<trueShift
 }
 
+func (w cubeWord) state() CubeState { return CubeState(w & (1<<ownerShift - 1)) }
+func (w cubeWord) owner() int       { return int(w >> ownerShift & maxOwner) }
+func (w cubeWord) trueval() int     { return int(w >> trueShift) }
+
+// pageShift sets the page size: a page holds the words of 1024
+// consecutive cube ids, so pages are spent only on the id ranges
+// actually touched (worker p's ids start at p·kcm.Stride+1); below
+// the largest id the rest costs one nil directory slot per 1024 ids.
+const (
+	pageShift = 10
+	pageWords = 1 << pageShift
+)
+
+type statePage [pageWords]atomic.Uint64
+
 // StateTable is the shared cube-state table of §5.3: per function
-// cube (by global CubeID), the current value, the saved true value,
-// and the speculating owner. It is safe for concurrent use; workers
-// pay a modeled lock cost via their machine clocks (charged by the
-// callers, which know their worker ids — repolint's vtimecharge
+// cube (by global CubeID, which must not be negative), the current
+// value, the saved true value, and the speculating owner. It is safe
+// for concurrent use, under this contract:
+//
+//   - Reads take no lock. Value and State are one atomic load of the
+//     cube's word, so the rectangle search pays no lock and no hashing
+//     per matrix entry.
+//   - Writes are serialized. Cover, Release, Divide and Claim each
+//     update their whole cube set under one writer mutex, word by
+//     word, so a lock-free reader may see a peer's multi-cube write
+//     half applied. That is no new kind of staleness: a search could
+//     always see peer writes land between two of its reads.
+//   - Claim re-reads every value under the writer mutex and divides
+//     the cubes before releasing it, and DIVIDED is absorbing, so no
+//     cube's value is banked twice however stale the search was.
+//
+// Workers pay a modeled lock cost via their machine clocks (charged by
+// the callers, which know their worker ids — repolint's vtimecharge
 // analyzer holds callers to that).
 //
 //repolint:shared-state
 type StateTable struct {
+	// mu serializes the writers; readers never take it.
 	mu sync.Mutex
-	// cubes is guarded by mu.
-	cubes map[int64]*cubeInfo
+	// pages is the page directory: page i holds the words of cube
+	// ids i·pageWords to (i+1)·pageWords−1, and is nil until one of
+	// them is written. A published directory is never modified:
+	// a writer adds a page by publishing a grown copy.
+	pages atomic.Pointer[[]*statePage]
 	// ownerCheck mirrors the paper's owner-qualified COVERED state.
 	// When disabled (ablation), a covered cube reads as zero even
 	// to its owner, reintroducing the order-dependent bias of the
-	// {(1,2)(4,5)} example in §5.3. It is guarded by mu.
-	ownerCheck bool
+	// {(1,2)(4,5)} example in §5.3.
+	ownerCheck atomic.Bool
 }
 
 // NewStateTable returns an empty table with the owner check enabled.
 func NewStateTable() *StateTable {
-	return &StateTable{cubes: map[int64]*cubeInfo{}, ownerCheck: true}
+	st := &StateTable{}
+	st.pages.Store(new([]*statePage))
+	st.ownerCheck.Store(true)
+	return st
 }
 
 // SetOwnerCheck toggles the owner-qualified value rule (ablation).
-// Like every other table access it must hold mu: the L-shaped workers
-// read ownerCheck on every Value call, so an unsynchronized toggle is
-// a data race even though the write is a single bool.
+// It may race with the workers: each read sees one setting or the
+// other.
 func (st *StateTable) SetOwnerCheck(on bool) {
-	st.mu.Lock()
-	st.ownerCheck = on
-	st.mu.Unlock()
+	st.ownerCheck.Store(on)
+}
+
+// word returns the current word of cube id; an id never written
+// reads as the zero (FREE) word.
+func (st *StateTable) word(id int64) cubeWord {
+	pages := *st.pages.Load()
+	i := uint64(id) >> pageShift
+	if i >= uint64(len(pages)) || pages[i] == nil {
+		return 0
+	}
+	return cubeWord(pages[i][id&(pageWords-1)].Load())
 }
 
 // Value returns the literal value worker p may claim for cube id
@@ -125,37 +186,42 @@ func (st *StateTable) SetOwnerCheck(on bool) {
 // COVERED cubes their true value to the owner and zero to others,
 // DIVIDED cubes zero to everyone.
 func (st *StateTable) Value(p int, id int64, weight int) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.valueLocked(p, id, weight)
-}
-
-// setStateLocked performs one cube-state transition, asserting Table 5
-// legality when the invariants build tag is on. Callers hold st.mu.
-func (st *StateTable) setStateLocked(id int64, ci *cubeInfo, next CubeState) {
-	if invariant.Enabled {
-		invariant.Assert(legalTransition(ci.state, next),
-			"illegal Table 5 transition %v -> %v for cube %d (owner %d)", ci.state, next, id, ci.owner)
-	}
-	ci.state = next
-}
-
-func (st *StateTable) valueLocked(p int, id int64, weight int) int {
-	ci, ok := st.cubes[id]
-	if !ok {
-		return weight
-	}
-	switch ci.state {
+	w := st.word(id)
+	switch w.state() {
 	case Free:
 		return weight
 	case Covered:
-		if st.ownerCheck && ci.owner == p {
-			return ci.trueval
+		if w.owner() == p && st.ownerCheck.Load() {
+			return w.trueval()
 		}
-		return 0
-	default: // Divided
-		return 0
 	}
+	return 0
+}
+
+// State returns the current state of a cube (FREE if never seen).
+func (st *StateTable) State(id int64) CubeState {
+	return st.word(id).state()
+}
+
+// setStateLocked stores cube id's next word, adding the cube's page if
+// it has none, and asserts Table 5 legality when the invariants build
+// tag is on. Callers hold st.mu.
+func (st *StateTable) setStateLocked(id int64, next cubeWord) {
+	if invariant.Enabled {
+		old := st.word(id)
+		invariant.Assert(legalTransition(old.state(), next.state()),
+			"illegal Table 5 transition %v -> %v for cube %d (owner %d)", old.state(), next.state(), id, old.owner())
+	}
+	pages := *st.pages.Load()
+	i := int(id >> pageShift)
+	if i >= len(pages) || pages[i] == nil {
+		grown := make([]*statePage, max(len(pages), i+1))
+		copy(grown, pages)
+		grown[i] = new(statePage)
+		st.pages.Store(&grown)
+		pages = grown
+	}
+	pages[i][id&(pageWords-1)].Store(uint64(next))
 }
 
 // Cover marks the cubes as speculatively covered by worker p, saving
@@ -165,15 +231,8 @@ func (st *StateTable) Cover(p int, ids []int64, weights []int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for i, id := range ids {
-		ci, ok := st.cubes[id]
-		if !ok {
-			st.cubes[id] = &cubeInfo{state: Covered, trueval: weights[i], owner: p}
-			continue
-		}
-		if ci.state == Free {
-			st.setStateLocked(id, ci, Covered)
-			ci.trueval = weights[i]
-			ci.owner = p
+		if st.word(id).state() == Free {
+			st.setStateLocked(id, packCube(Covered, p, weights[i]))
 		}
 	}
 }
@@ -183,9 +242,13 @@ func (st *StateTable) Cover(p int, ids []int64, weights []int) {
 func (st *StateTable) Release(p int, ids []int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.releaseLocked(p, ids)
+}
+
+func (st *StateTable) releaseLocked(p int, ids []int64) {
 	for _, id := range ids {
-		if ci, ok := st.cubes[id]; ok && ci.state == Covered && ci.owner == p {
-			st.setStateLocked(id, ci, Free)
+		if w := st.word(id); w.state() == Covered && w.owner() == p {
+			st.setStateLocked(id, cubeWord(Free))
 		}
 	}
 }
@@ -196,31 +259,17 @@ func (st *StateTable) Divide(ids []int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, id := range ids {
-		ci, ok := st.cubes[id]
-		if !ok {
-			st.cubes[id] = &cubeInfo{state: Divided}
-			continue
-		}
-		st.setStateLocked(id, ci, Divided)
-		ci.trueval = 0
+		st.setStateLocked(id, cubeWord(Divided))
 	}
-}
-
-// State returns the current state of a cube (FREE if never seen).
-func (st *StateTable) State(id int64) CubeState {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if ci, ok := st.cubes[id]; ok {
-		return ci.state
-	}
-	return Free
 }
 
 // Claim atomically re-validates and finalizes a claim: it recomputes
 // the total value of the given cubes as seen by worker p, and if
 // accept(value) returns true, marks them all divided and reports
 // success. Used at extraction time so that of two workers speculating
-// on overlapping rectangles, only one banks the shared cubes' value.
+// on overlapping rectangles, only one banks the shared cubes' value:
+// the recount and the division happen under the writer mutex, so no
+// other writer can move the cubes in between.
 func (st *StateTable) Claim(p int, ids []int64, weights []int, accept func(total int) bool) (int, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -231,26 +280,16 @@ func (st *StateTable) Claim(p int, ids []int64, weights []int, accept func(total
 			continue
 		}
 		seen[id] = true
-		total += st.valueLocked(p, id, weights[i])
+		total += st.Value(p, id, weights[i])
 	}
 	if !accept(total) {
 		// Failed claims release p's speculative covers so other
 		// workers can use the cubes.
-		for _, id := range ids {
-			if ci, ok := st.cubes[id]; ok && ci.state == Covered && ci.owner == p {
-				st.setStateLocked(id, ci, Free)
-			}
-		}
+		st.releaseLocked(p, ids)
 		return total, false
 	}
 	for _, id := range ids {
-		ci, ok := st.cubes[id]
-		if !ok {
-			st.cubes[id] = &cubeInfo{state: Divided}
-			continue
-		}
-		st.setStateLocked(id, ci, Divided)
-		ci.trueval = 0
+		st.setStateLocked(id, cubeWord(Divided))
 	}
 	return total, true
 }

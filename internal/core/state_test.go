@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/kcm"
 )
 
 func TestStateTableLifecycle(t *testing.T) {
@@ -151,5 +154,224 @@ func TestCubeStateString(t *testing.T) {
 	}
 	if CubeState(99).String() != "?" {
 		t.Fatal("unknown state")
+	}
+}
+
+// refTable is a map-based, single-goroutine reference model of the
+// cube-state table: TestStateTableMatchesReference drives it and
+// StateTable through the same operations and compares every
+// observable.
+type refTable struct {
+	cubes      map[int64]*refCube
+	ownerCheck bool
+}
+
+type refCube struct {
+	state          CubeState
+	trueval, owner int
+}
+
+func newRefTable() *refTable {
+	return &refTable{cubes: map[int64]*refCube{}, ownerCheck: true}
+}
+
+func (r *refTable) value(p int, id int64, weight int) int {
+	c, ok := r.cubes[id]
+	if !ok {
+		return weight
+	}
+	switch c.state {
+	case Free:
+		return weight
+	case Covered:
+		if r.ownerCheck && c.owner == p {
+			return c.trueval
+		}
+	}
+	return 0
+}
+
+func (r *refTable) state(id int64) CubeState {
+	if c, ok := r.cubes[id]; ok {
+		return c.state
+	}
+	return Free
+}
+
+func (r *refTable) cover(p int, ids []int64, weights []int) {
+	for i, id := range ids {
+		c, ok := r.cubes[id]
+		if !ok {
+			r.cubes[id] = &refCube{state: Covered, trueval: weights[i], owner: p}
+		} else if c.state == Free {
+			*c = refCube{state: Covered, trueval: weights[i], owner: p}
+		}
+	}
+}
+
+func (r *refTable) release(p int, ids []int64) {
+	for _, id := range ids {
+		if c, ok := r.cubes[id]; ok && c.state == Covered && c.owner == p {
+			c.state = Free
+		}
+	}
+}
+
+func (r *refTable) divide(ids []int64) {
+	for _, id := range ids {
+		r.cubes[id] = &refCube{state: Divided}
+	}
+}
+
+func (r *refTable) claim(p int, ids []int64, weights []int, accept func(int) bool) (int, bool) {
+	total := 0
+	seen := map[int64]bool{}
+	for i, id := range ids {
+		if !seen[id] {
+			seen[id] = true
+			total += r.value(p, id, weights[i])
+		}
+	}
+	if !accept(total) {
+		r.release(p, ids)
+		return total, false
+	}
+	r.divide(ids)
+	return total, true
+}
+
+// testCubeIDs returns cube ids from band 0 and band 1 (worker 1's
+// labels start at kcm.Stride+1), each band including ids on both
+// sides of a page boundary.
+func testCubeIDs() []int64 {
+	band1Page := int64(kcm.Stride/pageWords+1) * pageWords
+	var ids []int64
+	for _, base := range []int64{1, pageWords - 3, kcm.Stride + 1, band1Page - 3} {
+		for i := int64(0); i < 6; i++ {
+			ids = append(ids, base+i)
+		}
+	}
+	return ids
+}
+
+// TestStateTableMatchesReference runs seeded random sequences of
+// Cover, Release, Divide, Claim and SetOwnerCheck against both
+// StateTable and refTable, and after every step compares Value (for
+// every worker) and State of every cube; Claim's total and outcome are
+// compared as they happen.
+func TestStateTableMatchesReference(t *testing.T) {
+	const (
+		workers  = 3
+		steps    = 120
+		maxBatch = 5
+	)
+	pool := testCubeIDs()
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st, ref := NewStateTable(), newRefTable()
+		for step := 0; step < steps; step++ {
+			p := rng.Intn(workers)
+			n := 1 + rng.Intn(maxBatch)
+			ids, weights := make([]int64, n), make([]int, n)
+			for i := range ids {
+				ids[i] = pool[rng.Intn(len(pool))] // repeats exercise Claim's dedup
+				weights[i] = 1 + rng.Intn(9)
+			}
+			var op string
+			switch k := rng.Intn(20); {
+			case k < 7:
+				op = "Cover"
+				st.Cover(p, ids, weights)
+				ref.cover(p, ids, weights)
+			case k < 12:
+				op = "Release"
+				st.Release(p, ids)
+				ref.release(p, ids)
+			case k < 17:
+				op = "Claim"
+				need := rng.Intn(12)
+				accept := func(total int) bool { return total > need }
+				gotTotal, gotOK := st.Claim(p, ids, weights, accept)
+				wantTotal, wantOK := ref.claim(p, ids, weights, accept)
+				if gotTotal != wantTotal || gotOK != wantOK {
+					t.Fatalf("seed %d step %d: Claim(%d, %v, %v) = (%d, %v), reference (%d, %v)",
+						seed, step, p, ids, weights, gotTotal, gotOK, wantTotal, wantOK)
+				}
+			case k < 18:
+				op = "Divide"
+				st.Divide(ids)
+				ref.divide(ids)
+			default:
+				op = "SetOwnerCheck"
+				on := rng.Intn(2) == 0
+				st.SetOwnerCheck(on)
+				ref.ownerCheck = on
+			}
+			for _, id := range pool {
+				if got, want := st.State(id), ref.state(id); got != want {
+					t.Fatalf("seed %d step %d (%s by %d on %v): State(%d) = %v, reference %v",
+						seed, step, op, p, ids, id, got, want)
+				}
+				for w := 0; w < workers; w++ {
+					if got, want := st.Value(w, id, 7), ref.value(w, id, 7); got != want {
+						t.Fatalf("seed %d step %d (%s by %d on %v): Value(%d, %d) = %d, reference %d",
+							seed, step, op, p, ids, w, id, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStateTablePagesFollowTouchedIDs checks that the table's memory
+// follows the ids written, not the largest id: reads and releases of
+// unseen ids add no page, and writes in two bands add one page each.
+func TestStateTablePagesFollowTouchedIDs(t *testing.T) {
+	st := NewStateTable()
+	band1 := int64(kcm.Stride + 1)
+	pages := func() (n int) {
+		for _, pg := range *st.pages.Load() {
+			if pg != nil {
+				n++
+			}
+		}
+		return n
+	}
+	st.Value(0, band1, 3)
+	st.State(band1)
+	st.Release(0, []int64{1, band1})
+	if n := pages(); n != 0 {
+		t.Fatalf("reads and releases of unseen ids created %d pages", n)
+	}
+	st.Cover(0, []int64{1, 2}, []int{3, 3})
+	st.Divide([]int64{band1})
+	if n := pages(); n != 2 {
+		t.Fatalf("writes to one page in each of two bands created %d pages, want 2", n)
+	}
+	if got := st.State(band1); got != Divided {
+		t.Fatalf("band-1 cube is %v, want DIVIDED", got)
+	}
+	if got := st.Value(0, 2, 3); got != 3 {
+		t.Fatalf("owner's covered band-0 value = %d, want 3", got)
+	}
+}
+
+func TestStateTableRejectsUnpackableWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(*StateTable)
+	}{
+		{"negative id", func(st *StateTable) { st.Divide([]int64{-1}) }},
+		{"negative owner", func(st *StateTable) { st.Cover(-1, []int64{1}, []int{3}) }},
+		{"trueval over 32 bits", func(st *StateTable) { st.Cover(0, []int64{1}, []int{maxTrueval + 1}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: write did not panic", tc.name)
+				}
+			}()
+			tc.write(NewStateTable())
+		}()
 	}
 }
