@@ -320,10 +320,10 @@ func BenchmarkAblationSearchCaps(b *testing.B) {
 }
 
 // BenchmarkAblationWallclock demonstrates why speedup is measured in
-// virtual time: on the 2-vCPU reference host, wall time can at best
-// halve from p=1 to p=2 and cannot improve past p=2, while virtual
-// time keeps following the modeled p-processor machine (see
-// DESIGN.md §2 and §5).
+// virtual time: on the 2-vCPU reference host, wall time cannot improve
+// past p=2, and even p=1 searches its un-memoized roots on both vCPUs
+// (DESIGN.md §6), while virtual time keeps following the modeled
+// p-processor machine (see DESIGN.md §2 and §5).
 func BenchmarkAblationWallclock(b *testing.B) {
 	opt := benchOpt()
 	for _, p := range []int{1, 2, 4} {

@@ -38,7 +38,8 @@ type replicateMsg struct {
 
 // leaveMsg announces a clean departure.
 type leaveMsg struct {
-	ID string `json:"id"`
+	ID          string `json:"id"`
+	Incarnation int64  `json:"incarnation"`
 }
 
 // MembersResponse is the body of GET /v1/cluster/members.
@@ -80,7 +81,7 @@ func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	n.members.remove(msg.ID)
+	n.members.remove(Member{ID: msg.ID, Incarnation: msg.Incarnation})
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -241,7 +242,7 @@ func (n *Node) postReplicate(ctx context.Context, addr string, entries []wireEnt
 }
 
 func (n *Node) postLeave(ctx context.Context, addr string) {
-	n.postPeer(ctx, addr, "/v1/cluster/leave", leaveMsg{ID: n.cfg.NodeID}, nil)
+	n.postPeer(ctx, addr, "/v1/cluster/leave", leaveMsg{ID: n.cfg.NodeID, Incarnation: n.members.self.Incarnation}, nil)
 }
 
 // postJob forwards a registered job to its owner and returns the

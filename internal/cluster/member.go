@@ -60,6 +60,11 @@ type membership struct {
 	mu sync.Mutex
 	// members is guarded by mu; keyed by id, never contains self.
 	members map[string]*memberInfo
+	// gone is guarded by mu; it maps each departed peer's id to the
+	// incarnation that left. A probe or roster still carrying that
+	// incarnation (sent before the sender saw the leave) must not
+	// re-admit the peer; a higher incarnation, a restart, may.
+	gone map[string]int64
 	// hashRing is guarded by mu; rebuilt whenever the routable set
 	// (self + alive + suspect) changes.
 	hashRing *ring.Ring
@@ -72,6 +77,7 @@ func newMembership(self Member, suspectAfter, deadAfter time.Duration, vnodes in
 		deadAfter:    deadAfter,
 		vnodes:       vnodes,
 		members:      map[string]*memberInfo{},
+		gone:         map[string]int64{},
 	}
 	ms.mu.Lock()
 	ms.rebuildRingLocked()
@@ -102,6 +108,10 @@ func (ms *membership) markAlive(m Member) (Member, bool) {
 		return Member{}, false
 	}
 	ms.mu.Lock()
+	if ms.departedLocked(m) {
+		ms.mu.Unlock()
+		return Member{}, false
+	}
 	mi, known := ms.members[m.ID]
 	newlyAlive := false
 	switch {
@@ -134,7 +144,7 @@ func (ms *membership) merge(roster []Member) {
 	ms.mu.Lock()
 	changed := false
 	for _, m := range roster {
-		if m.ID == "" || m.ID == ms.self.ID {
+		if m.ID == "" || m.ID == ms.self.ID || ms.departedLocked(m) {
 			continue
 		}
 		mi, known := ms.members[m.ID]
@@ -155,14 +165,34 @@ func (ms *membership) merge(roster []Member) {
 	ms.mu.Unlock()
 }
 
-// remove drops a departing peer (POST /v1/cluster/leave).
-func (ms *membership) remove(id string) {
+// remove drops a departing peer (POST /v1/cluster/leave) and keeps a
+// tombstone for the incarnation that left.
+func (ms *membership) remove(m Member) {
 	ms.mu.Lock()
-	if _, ok := ms.members[id]; ok {
-		delete(ms.members, id)
+	inc := m.Incarnation
+	if mi, ok := ms.members[m.ID]; ok {
+		inc = max(inc, mi.Incarnation)
+		delete(ms.members, m.ID)
 		ms.rebuildRingLocked()
 	}
+	ms.gone[m.ID] = max(ms.gone[m.ID], inc)
 	ms.mu.Unlock()
+}
+
+// departedLocked reports whether m is a departed incarnation, and drops
+// the tombstone once a higher incarnation of the id arrives.
+//
+//repolint:requires mu
+func (ms *membership) departedLocked(m Member) bool {
+	inc, ok := ms.gone[m.ID]
+	if !ok {
+		return false
+	}
+	if m.Incarnation <= inc {
+		return true
+	}
+	delete(ms.gone, m.ID)
+	return false
 }
 
 // sweep applies the suspicion timeouts and reports whether any state

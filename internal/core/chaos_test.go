@@ -5,12 +5,15 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/equiv"
 	"repro/internal/fault"
+	"repro/internal/gen"
 	"repro/internal/network"
+	"repro/internal/rect"
 )
 
 // The chaos lane's driver-level contract: a fault injected at any
@@ -226,5 +229,56 @@ func TestLShapedAllWorkersLostFailsCleanly(t *testing.T) {
 	}
 	if err := equiv.Check(ref, nw, equiv.Options{}); err != nil {
 		t.Fatalf("network diverged after total loss: %v", err)
+	}
+}
+
+// TestSequentialFanoutPanicReachesGuard injects a panic, midway through
+// a sequential run's hits, into each fan-out the run makes: the
+// kerneling workers of the matrix build and the presearch workers of
+// the rectangle search. The panic must come out of a Guard around
+// Sequential as a WorkerFailure instead of killing the process, and
+// the network must stay function-equivalent to its input.
+func TestSequentialFanoutPanicReachesGuard(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	src, err := gen.Benchmark("misex3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Rect: rect.Config{MaxCols: 5, MaxVisits: 100000}, BatchK: 16}
+	for _, point := range []string{fault.PointKCMRebuild, fault.PointRectPresearch} {
+		t.Run(point, func(t *testing.T) {
+			defer fault.Reset()
+			// Count the point's hits in a clean run: a delay-mode
+			// point that never triggers still counts them.
+			fault.Set(fault.Plan{Points: map[string]fault.PointConfig{
+				point: {Mode: fault.ModeDelay, After: 1 << 30},
+			}})
+			Sequential(context.Background(), src.Clone(), opt)
+			hits := fault.Hits(point)
+			if hits < 2 {
+				t.Fatalf("point %s hit %d times in a clean run, want >= 2", point, hits)
+			}
+			fault.Set(panicPlan(point, hits/2))
+			nw := src.Clone()
+			var wf *WorkerFailure
+			runChaos(t, func() RunResult {
+				Guard("sequential", 0, func(f *WorkerFailure) { wf = f }, func() {
+					Sequential(context.Background(), nw, opt)
+				})
+				return RunResult{}
+			})
+			if fault.Fired(point) != 1 {
+				t.Fatalf("point %s fired %d times", point, fault.Fired(point))
+			}
+			if wf == nil || wf.Cause != CausePanic {
+				t.Fatalf("Guard reported %v, want a panic WorkerFailure", wf)
+			}
+			if inj, ok := wf.Panic.(fault.Injected); !ok || inj.Point != point {
+				t.Fatalf("WorkerFailure.Panic = %v, want the fault injected at %s", wf.Panic, point)
+			}
+			if err := equiv.Check(src, nw, equiv.Options{}); err != nil {
+				t.Fatalf("network diverged after the panic: %v", err)
+			}
+		})
 	}
 }

@@ -86,7 +86,9 @@ type RunResult struct {
 	// WallClock is the real elapsed time. Speedups are taken in
 	// virtual time: the reference host has 2 vCPUs, so wall-clock
 	// speedup is measurable only up to p=2 (core.wall_speedup_p2 in
-	// the end-to-end benchmark; see DESIGN.md §2).
+	// the end-to-end benchmark; see DESIGN.md §2). Sequential's
+	// rectangle search also runs on every core (its un-memoized roots,
+	// DESIGN.md §6), so its WallClock is not a one-core time.
 	WallClock time.Duration
 	// DNF reports that the run exceeded its work budget and was
 	// aborted, like the paper's '-' entries in Table 2.

@@ -111,8 +111,12 @@ type Result struct {
 // are candidates for the next call, as in SIS). Passing nil nodes
 // factors every current node.
 //
-// The matrix is kerneled across GOMAXPROCS goroutines; its labels are
-// the same for any worker count.
+// The matrix is kerneled across GOMAXPROCS goroutines, and each
+// rectangle search runs the roots its Cover has no memo entry for on
+// up to GOMAXPROCS goroutines (rect.Config.Cover). The labels, the
+// rectangles picked and the resulting network are the same for any
+// GOMAXPROCS. A panic in any of these goroutines is raised again on
+// the calling goroutine.
 //
 // Cancellation is cooperative: ctx is checked during the matrix build
 // and before every best-rectangle pick, so a cancelled call returns

@@ -122,6 +122,13 @@ const (
 	// forwarded-division queue.
 	PointLShapedForward = "core.lshaped.forward"
 
+	// PointKCMRebuild fires in each kerneling worker of
+	// kcm.Patcher.Rebuild, before every node the worker kernels.
+	PointKCMRebuild = "kcm.rebuild"
+	// PointRectPresearch fires in each worker of the rectangle
+	// search's root presearch, before every root column it searches.
+	PointRectPresearch = "rect.presearch"
+
 	// PointServiceJob fires in the worker pool just before a job is
 	// dispatched to a core driver.
 	PointServiceJob = "service.pool.job"

@@ -28,6 +28,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fanout"
+	"repro/internal/fault"
 	"repro/internal/kernels"
 	"repro/internal/network"
 	"repro/internal/sop"
@@ -440,40 +442,24 @@ func slicesSortEntries(entries []Entry) {
 //
 // Calling Rebuild invalidates the matrix returned by the previous
 // Rebuild on this patcher: its dirty nodes' cube storage is recycled.
+// A panic in a kerneling worker is raised again on the calling
+// goroutine once every worker has stopped.
 func (p *Patcher) Rebuild(ctx context.Context, nw *network.Network, nodes []sop.Var, workers int) *Matrix {
 	start := time.Now()
 	pending := p.Pending(nodes)
 	p.stats.NodesReused += int64(len(nodes) - len(pending))
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers <= 1 {
-		bs := p.MakeBatches(1)
-		for _, v := range pending {
+	workers = max(min(workers, len(pending)), 1)
+	bs := p.MakeBatches(workers)
+	fanout.Run(workers, func(w int) {
+		for i := w; i < len(pending); i += workers {
 			if ctx.Err() != nil {
-				break
+				return
 			}
-			bs[0].Kernel(nw, v)
+			fault.Inject(fault.PointKCMRebuild)
+			bs[w].Kernel(nw, pending[i])
 		}
-		p.Commit(bs...)
-	} else {
-		bs := p.MakeBatches(workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(pending); i += workers {
-					if ctx.Err() != nil {
-						return
-					}
-					bs[w].Kernel(nw, pending[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-		p.Commit(bs...)
-	}
+	})
+	p.Commit(bs...)
 	m := p.Assemble(nodes)
 	p.stats.BuildNS += time.Since(start).Nanoseconds()
 	return m

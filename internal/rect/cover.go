@@ -231,8 +231,17 @@ func (c *Cover) memoized(dc, listCap int) *rootMemo {
 }
 
 // store records root dc's complete subtree result, copying cands to
-// exact size.
+// exact size, and marks the entry fresh.
 func (c *Cover) store(dc int, cands []Rect, visits, evals, listCap int) {
+	c.put(dc, cands, visits, evals, listCap)
+	c.memoFresh.Set(dc)
+}
+
+// put writes root dc's complete subtree result into its memo slot
+// without marking it fresh. Presearch workers call it concurrently,
+// each only for the roots it took; the caller marks the entries fresh
+// after they have all finished.
+func (c *Cover) put(dc int, cands []Rect, visits, evals, listCap int) {
 	e := &c.memo[dc]
 	e.cands = nil
 	if len(cands) > 0 {
@@ -240,7 +249,6 @@ func (c *Cover) store(dc int, cands []Rect, visits, evals, listCap int) {
 		copy(e.cands, cands)
 	}
 	e.visits, e.evals, e.cap = visits, evals, listCap
-	c.memoFresh.Set(dc)
 }
 
 // rebuild re-targets the caches at a new index snapshot.

@@ -3,6 +3,7 @@ package rect
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/kcm"
@@ -294,5 +295,97 @@ func TestPropertySharedCubeSet(t *testing.T) {
 				refCovered[id] = true
 			}
 		}
+	}
+}
+
+// TestPropertyBudgetInsidePresearch runs cold searches whose visit
+// budget is half the full enumeration, so at GOMAXPROCS >= 2 the
+// budget runs out inside the range of roots the presearch fans out.
+// run's loop must still search the budget root live: the results and
+// Stats, Truncated included, equal the reference searcher's. A cold
+// presearch always hands the budget root out, so it must leave it
+// fresh exactly when the root's own subtree fits in the budget.
+func TestPropertyBudgetInsidePresearch(t *testing.T) {
+	fanned := runtime.GOMAXPROCS(0) >= 2
+	inside := 0
+	for seed := int64(300); seed < 340; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := randMatrix(rng, seed%2 == 1)
+		_, full := ReferenceBest(m, Config{}, WeightValuer)
+		ref := Config{MaxVisits: max(full.Visits/2, 1)}
+		dc := truncRoot(m, ref, WeightValuer)
+		if dc < 0 || len(m.SortedColIDs()) < 2 {
+			continue
+		}
+		_, own := ReferenceBest(m, Config{LeftmostCols: []int64{m.Index().ColIDs[dc]}}, WeightValuer)
+		cover := NewCover(m)
+		cfg := ref
+		cfg.Cover = cover
+		for _, k := range []int{1, 4} {
+			got, gotStats := BestK(m, cfg, nil, k)
+			want, wantStats := ReferenceBestK(m, ref, WeightValuer, k)
+			if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+				t.Fatalf("seed %d k=%d: got %+v %+v, want %+v %+v", seed, k, got, gotStats, want, wantStats)
+			}
+		}
+		fresh := cover.memoFresh.Test(dc)
+		if fanned && fresh != (own.Visits <= ref.MaxVisits) {
+			t.Fatalf("seed %d: budget root %d has %d visits of its own, budget %d: fresh = %v",
+				seed, dc, own.Visits, ref.MaxVisits, fresh)
+		}
+		if fresh {
+			inside++
+		}
+	}
+	t.Logf("GOMAXPROCS %d: the presearch stored the budget root in %d searches", runtime.GOMAXPROCS(0), inside)
+	if fanned && inside == 0 {
+		t.Fatal("want the budget to run out inside the presearched range")
+	}
+}
+
+// TestPropertyPresearchSkipsTruncatedRoot plants a stale memo entry on
+// a root R, as a Mark leaves it, and searches with a budget that runs
+// out inside R's own subtree, so the presearch cannot complete R. R's
+// stale entry must stay stale: both that search and a following one
+// with the full budget must search R live and agree with the reference
+// searcher.
+func TestPropertyPresearchSkipsTruncatedRoot(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	planted := 0
+	for seed := int64(400); seed < 420; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := randMatrix(rng, seed%2 == 1)
+		cover := NewCover(m)
+		BestK(m, Config{Cover: cover}, nil, 4)
+		// R is the first root with at least two visits whose right
+		// neighbour has a subtree too; the neighbour is invalidated
+		// as well, so that two roots fan out.
+		r, before := -1, 0
+		for dc := 0; dc+1 < len(cover.memo); dc++ {
+			if cover.memo[dc].visits >= 2 && cover.memo[dc+1].visits > 0 {
+				r = dc
+				break
+			}
+			before += cover.memo[dc].visits
+		}
+		if r < 0 {
+			continue
+		}
+		ref := Config{MaxVisits: before + cover.memo[r].visits - 1}
+		cover.memo[r] = rootMemo{visits: 1, cap: cover.memo[r].cap}
+		cover.memoFresh.Clear(r)
+		cover.memoFresh.Clear(r + 1)
+		planted++
+		for _, budget := range []int{ref.MaxVisits, 0} {
+			cfg := Config{MaxVisits: budget, Cover: cover}
+			got, gotStats := BestK(m, cfg, nil, 4)
+			want, wantStats := ReferenceBestK(m, Config{MaxVisits: budget}, WeightValuer, 4)
+			if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+				t.Fatalf("seed %d budget %d: got %+v %+v, want %+v %+v", seed, budget, got, gotStats, want, wantStats)
+			}
+		}
+	}
+	if planted == 0 {
+		t.Fatal("no matrix had a root to plant a stale entry on")
 	}
 }

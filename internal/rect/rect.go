@@ -99,7 +99,11 @@ type Config struct {
 	// cube is covered — and supersedes the Valuer argument of
 	// Best/BestK (which may then be nil). This is the fast path of
 	// the greedy cover: membership is a bit test and per-column
-	// claimable values are cached inside the Cover.
+	// claimable values are cached inside the Cover. Without OnBest,
+	// a search through a Cover memoizes each root's subtree in it
+	// and searches the roots it has no entry for on up to GOMAXPROCS
+	// goroutines, so the Cover (and any Cover sharing its set) must
+	// not be marked while a search runs.
 	Cover *Cover
 }
 
@@ -169,12 +173,14 @@ func newSearcher(m *kcm.Matrix, cfg Config, val Valuer) *searcher {
 	s := &searcher{m: m, cfg: withDefaults(cfg), val: val, cover: cfg.Cover}
 	s.ix = m.Index()
 	s.sc = getScratch(len(s.ix.RowIDs), len(s.ix.ColIDs), int(s.ix.MaxCubeID)+1, s.cfg.MaxCols)
+	s.top, s.local = s.sc.top, s.sc.local
 	return s
 }
 
-// release returns the scratch arena to the pool. The searcher must not
-// be used afterwards.
+// release returns the scratch arena, with the ranking buffers, to the
+// pool. The searcher must not be used afterwards.
 func (s *searcher) release() {
+	s.sc.top, s.sc.local = s.top[:0], s.local[:0]
 	putScratch(s.sc)
 	s.sc = nil
 }
@@ -203,7 +209,9 @@ func (s *searcher) listCap() int { return max(s.topCap, 1) }
 // searched, so Stats stays the logical count of a full enumeration,
 // and its candidates merge into the ranking. The root where the visit
 // budget runs out is always searched live, so Truncated and the
-// partial candidate set are those of a full enumeration too.
+// partial candidate set are those of a full enumeration too. Roots
+// with no fresh memo entry are first searched concurrently by
+// presearch; the loop below then replays them like any other entry.
 func (s *searcher) run(leftmost []int64) {
 	roots := leftmost
 	if roots == nil {
@@ -215,6 +223,7 @@ func (s *searcher) run(leftmost []int64) {
 	memo := s.cover != nil && s.cfg.OnBest == nil
 	if memo {
 		s.cover.beginSearch(s.ix, s.cfg)
+		s.presearch(roots)
 	}
 	for _, c0 := range roots {
 		dc, ok := s.ix.ColPos(c0)
@@ -250,6 +259,12 @@ func (s *searcher) searchRoot(dc int) {
 		// value, cheaper kernel), so no best rectangle starts here.
 		return
 	}
+	s.enumerate(dc)
+}
+
+// enumerate searches the subtree of dense root column dc, whose root
+// value is non-zero, adding its ranked candidates to s.local.
+func (s *searcher) enumerate(dc int) {
 	sc := s.sc
 	sc.rows[0].Copy(s.ix.ColRows[dc])
 	sc.cols[0] = s.ix.ColIDs[dc]
@@ -488,6 +503,11 @@ func (s *searcher) better(cand Rect) bool {
 // sync.Pool and grow monotonically, so steady-state searches allocate
 // only their result rectangles.
 type scratch struct {
+	// top and local keep the searcher's ranking buffers between
+	// searches; results never alias them.
+	top, local []Rect
+	// todo lists the roots of one presearch.
+	todo    []presearchRoot
 	rows    []bitset.Set // per depth: current row subset
 	cand    []bitset.Set // per depth: candidate extension columns
 	cvals   [][]int      // per depth: claimable value per dense col
