@@ -152,6 +152,11 @@ func TestLShapedManyP(t *testing.T) {
 		if res.LC > 26 || res.LC < 22 {
 			t.Fatalf("p=%d: LC = %d outside [22,26]", p, res.LC)
 		}
+		// No fault is injected, so no worker may be lost; in the
+		// invariants build a failed check loses its worker.
+		if res.Recovered != 0 || res.Failure != nil {
+			t.Fatalf("p=%d: lost workers: Recovered %d, Failure %v", p, res.Recovered, res.Failure)
+		}
 	}
 }
 

@@ -294,6 +294,18 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 				}
 				return st.Value(w, e.CubeID, e.Weight)
 			}
+			// memo replays the root columns whose values no write
+			// has touched since this worker's last search. Before
+			// each search the worker invalidates the cubes the
+			// state table logged as changed since then (seen is its
+			// cursor into the log), and every cube it bans. A peer
+			// may still write during the search, so the search
+			// reads possibly stale values, as a live search does;
+			// Claim settles conflicts.
+			memo := &rect.Memo{}
+			seen := 0
+			//repolint:allow vtimecharge -- runs only in the invariants build's replay check, which the model does not price
+			memo.Quiet = func() bool { return !st.Pending(w, seen) }
 			batchK := opt.BatchK
 			if batchK < 1 {
 				batchK = 1
@@ -318,8 +330,11 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 					overBudget.Store(true)
 					break
 				}
+				mc.ChargeLock(w)
+				seen = st.Changes(w, seen, memo.Invalidate)
 				var specIDs []int64
 				cfg := opt.Rect
+				cfg.Memo = memo
 				cfg.OnBest = func(prev, next rect.Rect) {
 					// Release the previous incumbent's cubes
 					// (copy back truevals) and cover the new
@@ -377,6 +392,7 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 						// candidate.
 						for _, id := range ids {
 							banned.Add(id)
+							memo.Invalidate(id)
 						}
 						continue
 					}

@@ -134,6 +134,10 @@ type statePage [pageWords]atomic.Uint64
 //   - Claim re-reads every value under the writer mutex and divides
 //     the cubes before releasing it, and DIVIDED is absorbing, so no
 //     cube's value is banked twice however stale the search was.
+//   - Every write that changes a cube's word appends the cube to an
+//     append-only change log under the same mutex. A worker memoizing
+//     its search reads the log from its own cursor (Changes) to learn
+//     which cubes' values may have moved since its last search.
 //
 // Workers pay a modeled lock cost via their machine clocks (charged by
 // the callers, which know their worker ids — repolint's vtimecharge
@@ -153,6 +157,20 @@ type StateTable struct {
 	// to its owner, reintroducing the order-dependent bias of the
 	// {(1,2)(4,5)} example in §5.3.
 	ownerCheck atomic.Bool
+	// changes logs, in write order, every write that changed a
+	// cube's word; it is guarded by mu. It only grows: a table
+	// lives for one L-shaped call. Entries below the length a
+	// reader saw under mu are never rewritten, so the reader may
+	// scan them after releasing mu.
+	changes []change
+}
+
+// change is one logged write: it changed cube id's word. by is the
+// worker whose own Cover or Release made the change, or -1 for a
+// division.
+type change struct {
+	id int64
+	by int
 }
 
 // NewStateTable returns an empty table with the owner check enabled.
@@ -165,7 +183,9 @@ func NewStateTable() *StateTable {
 
 // SetOwnerCheck toggles the owner-qualified value rule (ablation).
 // It may race with the workers: each read sees one setting or the
-// other.
+// other. A toggle is not a write: it changes the values of covered
+// cubes without logging them, so it must not happen while a worker
+// memoizes against the change log.
 func (st *StateTable) SetOwnerCheck(on bool) {
 	st.ownerCheck.Store(on)
 }
@@ -204,11 +224,16 @@ func (st *StateTable) State(id int64) CubeState {
 }
 
 // setStateLocked stores cube id's next word, adding the cube's page if
-// it has none, and asserts Table 5 legality when the invariants build
-// tag is on. Callers hold st.mu.
-func (st *StateTable) setStateLocked(id int64, next cubeWord) {
+// it has none, logs the change as made by by (see change), and asserts
+// Table 5 legality when the invariants build tag is on. A write that
+// leaves the word as it was is neither stored nor logged. Callers hold
+// st.mu.
+func (st *StateTable) setStateLocked(id int64, next cubeWord, by int) {
+	old := st.word(id)
+	if old == next {
+		return
+	}
 	if invariant.Enabled {
-		old := st.word(id)
 		invariant.Assert(legalTransition(old.state(), next.state()),
 			"illegal Table 5 transition %v -> %v for cube %d (owner %d)", old.state(), next.state(), id, old.owner())
 	}
@@ -222,6 +247,40 @@ func (st *StateTable) setStateLocked(id int64, next cubeWord) {
 		pages = grown
 	}
 	pages[i][id&(pageWords-1)].Store(uint64(next))
+	st.changes = append(st.changes, change{id: id, by: by})
+}
+
+// Changes calls fn, in write order, for each cube whose word a write
+// logged at position from or later changed, and returns the position
+// to resume from. It skips worker p's own Covers and Releases while
+// the owner check is on: a cube p covered reads its trueval, which is
+// the weight it read before, so those writes leave p's values as they
+// were. Every other logged write may change p's values. Changes takes
+// the writer mutex only to read the log's length; fn runs without it.
+func (st *StateTable) Changes(p, from int, fn func(id int64)) int {
+	log := st.logFrom(from)
+	skipOwn := st.ownerCheck.Load()
+	for _, c := range log {
+		if c.by != p || !skipOwn {
+			fn(c.id)
+		}
+	}
+	return from + len(log)
+}
+
+// Pending reports whether Changes(p, from, ...) would deliver a cube.
+func (st *StateTable) Pending(p, from int) bool {
+	pending := false
+	st.Changes(p, from, func(int64) { pending = true })
+	return pending
+}
+
+// logFrom returns the change log from position from to its current
+// end.
+func (st *StateTable) logFrom(from int) []change {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.changes[from:len(st.changes):len(st.changes)]
 }
 
 // Cover marks the cubes as speculatively covered by worker p, saving
@@ -232,7 +291,7 @@ func (st *StateTable) Cover(p int, ids []int64, weights []int) {
 	defer st.mu.Unlock()
 	for i, id := range ids {
 		if st.word(id).state() == Free {
-			st.setStateLocked(id, packCube(Covered, p, weights[i]))
+			st.setStateLocked(id, packCube(Covered, p, weights[i]), p)
 		}
 	}
 }
@@ -248,7 +307,7 @@ func (st *StateTable) Release(p int, ids []int64) {
 func (st *StateTable) releaseLocked(p int, ids []int64) {
 	for _, id := range ids {
 		if w := st.word(id); w.state() == Covered && w.owner() == p {
-			st.setStateLocked(id, cubeWord(Free))
+			st.setStateLocked(id, cubeWord(Free), p)
 		}
 	}
 }
@@ -259,7 +318,7 @@ func (st *StateTable) Divide(ids []int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, id := range ids {
-		st.setStateLocked(id, cubeWord(Divided))
+		st.setStateLocked(id, cubeWord(Divided), -1)
 	}
 }
 
@@ -289,7 +348,7 @@ func (st *StateTable) Claim(p int, ids []int64, weights []int, accept func(total
 		return total, false
 	}
 	for _, id := range ids {
-		st.setStateLocked(id, cubeWord(Divided))
+		st.setStateLocked(id, cubeWord(Divided), -1)
 	}
 	return total, true
 }

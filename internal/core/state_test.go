@@ -259,6 +259,15 @@ func testCubeIDs() []int64 {
 // StateTable and refTable, and after every step compares Value (for
 // every worker) and State of every cube; Claim's total and outcome are
 // compared as they happen.
+//
+// It also checks the change log after every step. An observer cursor
+// (worker id `workers`, which owns no cube) must be fed exactly the
+// cubes whose word the step changed. Each worker's own cursor must be
+// fed every cube whose Value for that worker changed, except that,
+// while the owner check is on, the worker's own Cover and Release
+// (a failed Claim's included) may be left out, since in the L-shaped
+// driver their trueval is the weight the worker reads; a SetOwnerCheck
+// step is not a write and is fed nothing.
 func TestStateTableMatchesReference(t *testing.T) {
 	const (
 		workers  = 3
@@ -269,7 +278,16 @@ func TestStateTableMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st, ref := NewStateTable(), newRefTable()
+		cursors := make([]int, workers+1)
 		for step := 0; step < steps; step++ {
+			words := map[int64]cubeWord{}
+			values := map[[2]int64]int{}
+			for _, id := range pool {
+				words[id] = st.word(id)
+				for w := 0; w < workers; w++ {
+					values[[2]int64{int64(w), id}] = st.Value(w, id, 7)
+				}
+			}
 			p := rng.Intn(workers)
 			n := 1 + rng.Intn(maxBatch)
 			ids, weights := make([]int64, n), make([]int, n)
@@ -278,13 +296,14 @@ func TestStateTableMatchesReference(t *testing.T) {
 				weights[i] = 1 + rng.Intn(9)
 			}
 			var op string
+			own := false // the step is p's own Cover or Release
 			switch k := rng.Intn(20); {
 			case k < 7:
-				op = "Cover"
+				op, own = "Cover", true
 				st.Cover(p, ids, weights)
 				ref.cover(p, ids, weights)
 			case k < 12:
-				op = "Release"
+				op, own = "Release", true
 				st.Release(p, ids)
 				ref.release(p, ids)
 			case k < 17:
@@ -297,6 +316,7 @@ func TestStateTableMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: Claim(%d, %v, %v) = (%d, %v), reference (%d, %v)",
 						seed, step, p, ids, weights, gotTotal, gotOK, wantTotal, wantOK)
 				}
+				own = !gotOK // a failed claim releases p's covers
 			case k < 18:
 				op = "Divide"
 				st.Divide(ids)
@@ -316,6 +336,25 @@ func TestStateTableMatchesReference(t *testing.T) {
 					if got, want := st.Value(w, id, 7), ref.value(w, id, 7); got != want {
 						t.Fatalf("seed %d step %d (%s by %d on %v): Value(%d, %d) = %d, reference %d",
 							seed, step, op, p, ids, w, id, got, want)
+					}
+				}
+			}
+			for w := 0; w <= workers; w++ {
+				fed := map[int64]bool{}
+				cursors[w] = st.Changes(w, cursors[w], func(id int64) { fed[id] = true })
+				for _, id := range pool {
+					if w == workers {
+						if changed := st.word(id) != words[id]; fed[id] != changed {
+							t.Fatalf("seed %d step %d (%s by %d on %v): cube %d fed %v to the observer, word changed %v",
+								seed, step, op, p, ids, id, fed[id], changed)
+						}
+						continue
+					}
+					changed := st.Value(w, id, 7) != values[[2]int64{int64(w), id}]
+					mayOmit := op == "SetOwnerCheck" || own && w == p && ref.ownerCheck
+					if changed && !fed[id] && !mayOmit {
+						t.Fatalf("seed %d step %d (%s by %d on %v): Value(%d, %d) changed but the cube was not fed to %d",
+							seed, step, op, p, ids, w, id, w)
 					}
 				}
 			}

@@ -65,9 +65,8 @@ func (s *CubeSet) Count() int { return s.bits.Count() }
 //   - each column's total claimable value over its full row set (the
 //     root-level dominance prune), cleared for the columns that
 //     contain the marked cube;
-//   - each root column's complete subtree result (the root memo: its
-//     ranked candidates, visits and evals), cleared for the roots
-//     whose subtree can read the marked cube (see Mark).
+//   - the root memo (a Memo over the covered-set valuer), cleared for
+//     the roots whose subtree can read the marked cube.
 //
 // The set may be shared by Covers of other matrices (NewCoverShared);
 // marks arriving through a sibling flush both caches via the set's
@@ -76,33 +75,11 @@ type Cover struct {
 	m   *kcm.Matrix
 	set *CubeSet
 
-	// Caches, lazily built against one Index snapshot.
-	ix       *kcm.Index
+	// Caches, lazily built against memo's index snapshot.
 	version  uint64
 	colVal   []int
 	colFresh bitset.Set
-	memo     []rootMemo
-	// memoFresh marks the roots whose memo entry is still exact;
-	// memoKey is the search shape the entries were recorded under.
-	memoFresh bitset.Set
-	memoKey   [2]int
-	// cubeOff/cubeRefs index every entry by cube id (CSR layout: the
-	// entries carrying cube id are cubeRefs[cubeOff[id]:cubeOff[id+1]]).
-	cubeOff  []int32
-	cubeRefs []entryRef
-}
-
-// entryRef locates one matrix entry: Rows[row].Entries[k] of the
-// index, whose dense column is RowRefs[row][k].
-type entryRef struct{ row, k int32 }
-
-// rootMemo is one root column's complete subtree result: its ranked
-// candidates (at most cap of them, the list cap they were recorded
-// with), and the visits and evals the enumeration took.
-type rootMemo struct {
-	cands         []Rect
-	visits, evals int
-	cap           int
+	memo     Memo
 }
 
 // NewCover returns a Cover over a fresh empty set sized to m's cubes.
@@ -121,11 +98,9 @@ func (c *Cover) Set() *CubeSet { return c.set }
 // Has reports whether the cube id is covered.
 func (c *Cover) Has(id int64) bool { return c.set.Has(id) }
 
-// Mark covers the cube id. For each entry carrying the cube, at dense
-// row r and position k, it invalidates the entry's column value and
-// the root memo of RowRefs[r][:k+1]: exactly the roots c0 <= the
-// entry's column whose row set contains r, the only subtrees whose
-// rectangles, candidate values or dominance prunes read the entry.
+// Mark covers the cube id, invalidating the root memo as
+// Memo.Invalidate does and the column value of each entry carrying
+// the cube.
 func (c *Cover) Mark(id int64) {
 	current := c.version == c.set.version
 	if !c.set.Add(id) {
@@ -136,15 +111,7 @@ func (c *Cover) Mark(id int64) {
 		// behind so the next sync flushes everything.
 		return
 	}
-	if c.ix != nil && int(id)+1 < len(c.cubeOff) {
-		for _, ref := range c.cubeRefs[c.cubeOff[id]:c.cubeOff[id+1]] {
-			refs := c.ix.RowRefs[ref.row][:ref.k+1]
-			c.colFresh.Clear(int(refs[ref.k]))
-			for _, dc := range refs {
-				c.memoFresh.Clear(int(dc))
-			}
-		}
-	}
+	c.memo.invalidate(id, c.colFresh)
 	c.version = c.set.version
 }
 
@@ -164,11 +131,19 @@ func (c *Cover) Valuer() Valuer {
 // them; marks that arrived through a sibling Cover, which Mark's
 // fine-grained invalidation never saw, flush them.
 func (c *Cover) sync(ix *kcm.Index) {
-	if c.ix != ix {
-		c.rebuild(ix)
+	if c.memo.ix != ix {
+		c.memo.rebuild(ix)
+		nc := len(ix.ColIDs)
+		if cap(c.colVal) >= nc {
+			c.colVal = c.colVal[:nc]
+		} else {
+			c.colVal = make([]int, nc)
+		}
+		c.colFresh = bitset.New(nc)
+		c.version = c.set.version
 	} else if c.version != c.set.version {
 		c.colFresh.Reset()
-		c.memoFresh.Reset()
+		c.memo.fresh.Reset()
 		c.version = c.set.version
 	}
 }
@@ -208,85 +183,4 @@ func (c *Cover) recompute(ix *kcm.Index, dc int) int {
 		}
 	}
 	return total
-}
-
-// beginSearch syncs the caches for a search of ix whose subtree shape
-// is set by cfg's MaxCols and MinRows; memo entries recorded under a
-// different shape are flushed.
-func (c *Cover) beginSearch(ix *kcm.Index, cfg Config) {
-	c.sync(ix)
-	if key := [2]int{cfg.MaxCols, cfg.MinRows}; key != c.memoKey {
-		c.memoFresh.Reset()
-		c.memoKey = key
-	}
-}
-
-// memoized returns root dc's memo entry when it is fresh and holds at
-// least listCap candidates' worth of ranking, else nil.
-func (c *Cover) memoized(dc, listCap int) *rootMemo {
-	if !c.memoFresh.Test(dc) || c.memo[dc].cap < listCap {
-		return nil
-	}
-	return &c.memo[dc]
-}
-
-// store records root dc's complete subtree result, copying cands to
-// exact size, and marks the entry fresh.
-func (c *Cover) store(dc int, cands []Rect, visits, evals, listCap int) {
-	c.put(dc, cands, visits, evals, listCap)
-	c.memoFresh.Set(dc)
-}
-
-// put writes root dc's complete subtree result into its memo slot
-// without marking it fresh. Presearch workers call it concurrently,
-// each only for the roots it took; the caller marks the entries fresh
-// after they have all finished.
-func (c *Cover) put(dc int, cands []Rect, visits, evals, listCap int) {
-	e := &c.memo[dc]
-	e.cands = nil
-	if len(cands) > 0 {
-		e.cands = make([]Rect, len(cands))
-		copy(e.cands, cands)
-	}
-	e.visits, e.evals, e.cap = visits, evals, listCap
-}
-
-// rebuild re-targets the caches at a new index snapshot.
-func (c *Cover) rebuild(ix *kcm.Index) {
-	nc := len(ix.ColIDs)
-	c.ix = ix
-	if cap(c.colVal) >= nc {
-		c.colVal = c.colVal[:nc]
-	} else {
-		c.colVal = make([]int, nc)
-	}
-	c.colFresh = bitset.New(nc)
-	c.memo = make([]rootMemo, nc)
-	c.memoFresh = bitset.New(nc)
-
-	// Count entries per cube id, prefix-sum into starts, fill while
-	// advancing each start to its end, then shift the ends back into
-	// starts.
-	off := make([]int32, ix.MaxCubeID+2)
-	n := 0
-	for _, row := range ix.Rows {
-		for _, e := range row.Entries {
-			off[e.CubeID+1]++
-		}
-		n += len(row.Entries)
-	}
-	for i := 1; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	refs := make([]entryRef, n)
-	for r, row := range ix.Rows {
-		for k, e := range row.Entries {
-			refs[off[e.CubeID]] = entryRef{int32(r), int32(k)}
-			off[e.CubeID]++
-		}
-	}
-	copy(off[1:], off)
-	off[0] = 0
-	c.cubeOff, c.cubeRefs = off, refs
-	c.version = c.set.version
 }

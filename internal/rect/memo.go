@@ -1,0 +1,228 @@
+package rect
+
+import (
+	"math"
+
+	"repro/internal/bitset"
+	"repro/internal/kcm"
+)
+
+// Memo memoizes each root column's complete subtree result across
+// searches of one matrix under one valuer: its ranked candidates, and
+// the visits and evals the enumeration took. A search through a Memo
+// (Config.Memo, or a Cover's own) replays a root's entry while it is
+// fresh, adding its visits and evals as if searched, so Stats stay the
+// logical count of a full enumeration; it searches the other roots
+// live and records them.
+//
+// An entry depends on the values of the matrix entries its subtree can
+// read, and the valuer's value of an entry may depend only on the
+// entry. The caller delivers every change to a cube's value through
+// Invalidate before the next search. A new index snapshot of the
+// matrix, or a search of another shape (MaxCols, MinRows), drops every
+// entry.
+//
+// A Memo is not safe for concurrent use, and must not be invalidated
+// while a search through it runs.
+type Memo struct {
+	// Quiet, when non-nil, reports whether every change to the
+	// valuer's values has been delivered through Invalidate. A valuer
+	// that reads state other goroutines write sets it: the invariants
+	// build re-searches each replayed root live, and a mismatch
+	// proves a missed Invalidate only while Quiet holds.
+	Quiet func() bool
+
+	ix    *kcm.Index
+	roots []rootMemo
+	// fresh marks the roots whose entry is still exact; key is the
+	// search shape the entries were recorded under.
+	fresh bitset.Set
+	key   [2]int
+	cubes cubeIndex
+}
+
+// rootMemo is one root column's complete subtree result: its ranked
+// candidates (at most cap of them, the list cap they were recorded
+// with), and the visits and evals the enumeration took.
+type rootMemo struct {
+	cands         []Rect
+	visits, evals int
+	cap           int
+}
+
+// Invalidate drops the entries a change to cube id's value can make
+// stale. For each matrix entry carrying the cube, at dense row r and
+// position k, those are the roots RowRefs[r][:k+1]: exactly the roots
+// c0 <= the entry's column whose row set contains r, the only subtrees
+// whose rectangles, candidate values or dominance prunes read the
+// entry.
+func (mm *Memo) Invalidate(id int64) { mm.invalidate(id, nil) }
+
+// invalidate is Invalidate that also clears, in cols when non-nil, the
+// dense column of each entry carrying id.
+func (mm *Memo) invalidate(id int64, cols bitset.Set) {
+	if mm.ix == nil {
+		return
+	}
+	for _, ref := range mm.cubes.entries(id) {
+		refs := mm.ix.RowRefs[ref.row][:ref.k+1]
+		if cols != nil {
+			cols.Clear(int(refs[ref.k]))
+		}
+		for _, dc := range refs {
+			mm.fresh.Clear(int(dc))
+		}
+	}
+}
+
+// beginSearch binds the memo to index snapshot ix for a search whose
+// subtree shape is set by cfg's MaxCols and MinRows; entries recorded
+// against another snapshot or shape are dropped.
+func (mm *Memo) beginSearch(ix *kcm.Index, cfg Config) {
+	if mm.ix != ix {
+		mm.rebuild(ix)
+	}
+	if key := [2]int{cfg.MaxCols, cfg.MinRows}; key != mm.key {
+		mm.fresh.Reset()
+		mm.key = key
+	}
+}
+
+// memoized returns root dc's entry when it is fresh and holds at least
+// listCap candidates' worth of ranking, else nil.
+func (mm *Memo) memoized(dc, listCap int) *rootMemo {
+	if !mm.fresh.Test(dc) || mm.roots[dc].cap < listCap {
+		return nil
+	}
+	return &mm.roots[dc]
+}
+
+// store records root dc's complete subtree result, copying cands to
+// exact size, and marks the entry fresh.
+func (mm *Memo) store(dc int, cands []Rect, visits, evals, listCap int) {
+	mm.put(dc, cands, visits, evals, listCap)
+	mm.fresh.Set(dc)
+}
+
+// put writes root dc's complete subtree result into its slot without
+// marking it fresh. Presearch workers call it concurrently, each only
+// for the roots it took; the caller marks the entries fresh after they
+// have all finished.
+func (mm *Memo) put(dc int, cands []Rect, visits, evals, listCap int) {
+	e := &mm.roots[dc]
+	e.cands = nil
+	if len(cands) > 0 {
+		e.cands = make([]Rect, len(cands))
+		copy(e.cands, cands)
+	}
+	e.visits, e.evals, e.cap = visits, evals, listCap
+}
+
+// rebuild re-targets the memo at a new index snapshot, empty.
+func (mm *Memo) rebuild(ix *kcm.Index) {
+	nc := len(ix.ColIDs)
+	mm.ix = ix
+	mm.roots = make([]rootMemo, nc)
+	mm.fresh = bitset.New(nc)
+	mm.cubes.build(ix)
+}
+
+// entryRef locates one matrix entry: Rows[row].Entries[k] of the
+// index, whose dense column is RowRefs[row][k].
+type entryRef struct{ row, k int32 }
+
+// cubeIndex lists the entries carrying each cube id in CSR layout: the
+// entries of the id in slot i are refs[off[i]:off[i+1]]. Builder cube
+// ids are contiguous within each processor's label band (§5.2:
+// processor p's start at p·kcm.Stride+1), so each band present gets
+// one slot per id from its smallest id to its largest, and an L-matrix,
+// whose ids sit in several bands above band 0, pays for the ids it
+// holds rather than for every id below its largest.
+type cubeIndex struct {
+	bands []idBand // indexed by id / kcm.Stride
+	off   []int32
+	refs  []entryRef
+}
+
+// idBand maps one label band's ids lo .. lo+n-1 to slots base ..
+// base+n-1; a band with no ids has n == 0.
+type idBand struct {
+	lo      int64
+	base, n int32
+}
+
+// slot returns the slot of cube id, if the index has one.
+func (x *cubeIndex) slot(id int64) (int, bool) {
+	b := id / kcm.Stride
+	if id < 0 || b >= int64(len(x.bands)) {
+		return 0, false
+	}
+	band := &x.bands[b]
+	i := id - band.lo
+	if i < 0 || i >= int64(band.n) {
+		return 0, false
+	}
+	return int(band.base) + int(i), true
+}
+
+// entries returns the entries carrying cube id.
+func (x *cubeIndex) entries(id int64) []entryRef {
+	i, ok := x.slot(id)
+	if !ok {
+		return nil
+	}
+	return x.refs[x.off[i]:x.off[i+1]]
+}
+
+// build indexes ix's entries by cube id: one pass finds each band's
+// id range, then a counting sort over the slots (count entries per
+// slot, prefix-sum into starts, fill while advancing each start to its
+// end, then shift the ends back into starts).
+func (x *cubeIndex) build(ix *kcm.Index) {
+	bands := make([]idBand, ix.MaxCubeID/kcm.Stride+1)
+	hi := make([]int64, len(bands))
+	for b := range bands {
+		bands[b].lo = math.MaxInt64
+	}
+	n := 0
+	for _, row := range ix.Rows {
+		for _, e := range row.Entries {
+			b := e.CubeID / kcm.Stride
+			bands[b].lo = min(bands[b].lo, e.CubeID)
+			hi[b] = max(hi[b], e.CubeID)
+		}
+		n += len(row.Entries)
+	}
+	slots := 0
+	for b := range bands {
+		if hi[b] < bands[b].lo {
+			bands[b] = idBand{}
+			continue
+		}
+		bands[b].base = int32(slots)
+		bands[b].n = int32(hi[b] - bands[b].lo + 1)
+		slots += int(bands[b].n)
+	}
+	x.bands = bands
+	off := make([]int32, slots+1)
+	for _, row := range ix.Rows {
+		for _, e := range row.Entries {
+			i, _ := x.slot(e.CubeID)
+			off[i+1]++
+		}
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	refs := make([]entryRef, n)
+	for r, row := range ix.Rows {
+		for k, e := range row.Entries {
+			i, _ := x.slot(e.CubeID)
+			refs[off[i]] = entryRef{int32(r), int32(k)}
+			off[i]++
+		}
+	}
+	copy(off[1:], off)
+	off[0] = 0
+	x.off, x.refs = off, refs
+}

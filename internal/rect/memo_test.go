@@ -1,0 +1,164 @@
+package rect
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/bitset"
+	"repro/internal/kcm"
+)
+
+// TestPropertyMemoMatchesReference drives one long-lived Memo through
+// a scripted sequence of writes to a map-backed valuer, as the
+// L-shaped workers drive theirs from the state table: each step writes
+// a few cube values and delivers every write through Invalidate, then
+// searches with k = 1 and 4. Every search must equal the reference
+// searcher's under the same valuer, Stats included, and its OnBest
+// calls must form a strictly improving chain from the empty rectangle
+// to the returned best, which they do only if replayed roots report
+// their winners and the invariants build's re-search reports nothing.
+// Every other step runs with half the full budget, so the budget runs
+// out in memoized and in invalidated roots.
+func TestPropertyMemoMatchesReference(t *testing.T) {
+	replayed := 0
+	for seed := int64(500); seed < 530; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := randMatrix(rng, seed%2 == 1)
+		ids := allCubeIDs(m)
+		vals := map[int64]int{}
+		val := func(e kcm.Entry) int {
+			if v, ok := vals[e.CubeID]; ok {
+				return v
+			}
+			return e.Weight
+		}
+		weight := map[int64]int{}
+		for _, r := range m.Rows() {
+			for _, e := range r.Entries {
+				weight[e.CubeID] = e.Weight
+			}
+		}
+		memo := &Memo{}
+		for step := 0; step < 24; step++ {
+			for n := rng.Intn(4); n > 0; n-- {
+				id := ids[rng.Intn(len(ids))]
+				// Covered, free, or a partial value, as a trueval
+				// that differs from the weight would read.
+				vals[id] = []int{0, weight[id], rng.Intn(weight[id] + 1)}[rng.Intn(3)]
+				memo.Invalidate(id)
+			}
+			ref := Config{}
+			if step%2 == 1 {
+				_, full := ReferenceBest(m, ref, val)
+				ref.MaxVisits = max(full.Visits/2, 1)
+			}
+			for _, k := range []int{1, 4} {
+				if memo.ix != nil && memo.fresh.Count() > 0 {
+					replayed++
+				}
+				var chain [][2]Rect
+				cfg := ref
+				cfg.Memo = memo
+				cfg.OnBest = func(prev, next Rect) { chain = append(chain, [2]Rect{prev, next}) }
+				got, gotStats := BestK(m, cfg, val, k)
+				want, wantStats := ReferenceBestK(m, ref, val, k)
+				if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+					t.Fatalf("seed %d step %d k=%d: got %+v %+v, want %+v %+v",
+						seed, step, k, got, gotStats, want, wantStats)
+				}
+				checkChain(t, chain, got)
+			}
+		}
+	}
+	if replayed == 0 {
+		t.Fatal("want searches that replay memoized roots")
+	}
+}
+
+// checkChain asserts that OnBest's calls, in order, replaced the empty
+// rectangle, then each call's next, by strictly better rectangles,
+// ending at batch's first rectangle (none at all for an empty batch).
+func checkChain(t *testing.T, chain [][2]Rect, batch []Rect) {
+	t.Helper()
+	var last Rect
+	for i, c := range chain {
+		if !reflect.DeepEqual(c[0], last) {
+			t.Fatalf("OnBest call %d: prev %+v, want the last incumbent %+v", i, c[0], last)
+		}
+		if c[0].Rows != nil && CompareRects(c[1], c[0]) >= 0 {
+			t.Fatalf("OnBest call %d: next %+v does not improve on %+v", i, c[1], c[0])
+		}
+		last = c[1]
+	}
+	var best Rect
+	if len(batch) > 0 {
+		best = batch[0]
+	}
+	if !reflect.DeepEqual(last, best) {
+		t.Fatalf("OnBest's last incumbent %+v, search returned %+v", last, best)
+	}
+}
+
+// relabelCubes copies m with every cube id moved up by shift, the rows
+// and columns unchanged.
+func relabelCubes(m *kcm.Matrix, shift int64) *kcm.Matrix {
+	out := kcm.NewMatrix()
+	for _, c := range m.Cols() {
+		out.InternColumn(c.Cube, c.ID)
+	}
+	for _, r := range m.Rows() {
+		entries := make([]kcm.Entry, len(r.Entries))
+		for i, e := range r.Entries {
+			e.CubeID += shift
+			entries[i] = e
+		}
+		out.AddRow(&kcm.Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel, Entries: entries})
+	}
+	out.SortColRows()
+	return out
+}
+
+// TestPropertyCoverHighBand runs the greedy cover loop over a matrix
+// and over its copy with cube ids moved from bands 0 and 1 to bands 5
+// and 6, as an L-matrix's are. The two Covers must return the same
+// searches, Stats included, and after every Mark leave the same root
+// memo entries and column values fresh; their cube indexes must have
+// the same size, set by the ids present, not by the largest id.
+func TestPropertyCoverHighBand(t *testing.T) {
+	const shift = 5 * kcm.Stride
+	for seed := int64(600); seed < 620; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m0 := randMatrix(rng, seed%2 == 1)
+		m5 := relabelCubes(m0, shift)
+		c0, c5 := NewCover(m0), NewCover(m5)
+		sameFresh := func(what string, a, b bitset.Set) {
+			t.Helper()
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d: %s differ: band 0 %v, band 5 %v", seed, what, a, b)
+			}
+		}
+		for round := 0; ; round++ {
+			got0, stats0 := BestK(m0, Config{Cover: c0}, nil, 4)
+			got5, stats5 := BestK(m5, Config{Cover: c5}, nil, 4)
+			if !reflect.DeepEqual(got0, got5) || stats0 != stats5 {
+				t.Fatalf("seed %d round %d: band 0 %+v %+v, band 5 %+v %+v", seed, round, got0, stats0, got5, stats5)
+			}
+			if round == 0 && len(c5.memo.cubes.off) != len(c0.memo.cubes.off) {
+				t.Fatalf("seed %d: band-5 cube index has %d offsets, band 0 %d",
+					seed, len(c5.memo.cubes.off), len(c0.memo.cubes.off))
+			}
+			if len(got0) == 0 {
+				break
+			}
+			for _, r := range got0 {
+				for _, id := range coveredCubeIDs(m0, r) {
+					c0.Mark(id)
+					c5.Mark(id + shift)
+					sameFresh("fresh roots", c0.memo.fresh, c5.memo.fresh)
+					sameFresh("fresh column values", c0.colFresh, c5.colFresh)
+				}
+			}
+		}
+	}
+}

@@ -57,7 +57,7 @@ func (s *searcher) presearch(roots []int64) {
 		if !ok || len(s.ix.Cols[dc].RowIDs) == 0 {
 			continue
 		}
-		if e := s.cover.memoized(dc, listCap); e != nil {
+		if e := s.memo.memoized(dc, listCap); e != nil {
 			before += e.visits
 		} else if s.rootValue(dc) > 0 {
 			todo = append(todo, presearchRoot{dc: dc, before: before})
@@ -86,14 +86,14 @@ func (s *searcher) presearch(roots []int64) {
 			w.enumerate(t.dc)
 			spent.Add(int64(w.stats.Visits))
 			if !w.stats.Truncated {
-				s.cover.put(t.dc, w.local, w.stats.Visits, w.stats.Evals, listCap)
+				s.memo.put(t.dc, w.local, w.stats.Visits, w.stats.Evals, listCap)
 				t.stored = true
 			}
 		}
 	})
 	for _, t := range todo {
 		if t.stored {
-			s.cover.memoFresh.Set(t.dc)
+			s.memo.fresh.Set(t.dc)
 		}
 	}
 }

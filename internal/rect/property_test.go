@@ -204,7 +204,7 @@ func TestPropertyGreedyCoverMatchesReference(t *testing.T) {
 					ref := sh.cfg
 					ref.MaxVisits = budget
 					if dc := truncRoot(m, ref, CoveredValuer(refCovered)); dc >= 0 {
-						if cover.ix != nil && cover.memoFresh.Test(dc) {
+						if cover.memo.ix != nil && cover.memo.fresh.Test(dc) {
 							truncFresh++
 						} else {
 							truncDirty++
@@ -212,7 +212,7 @@ func TestPropertyGreedyCoverMatchesReference(t *testing.T) {
 					}
 					cfg := ref
 					cfg.Cover = cover
-					if cover.ix != nil && cover.memoFresh.Count() > 0 {
+					if cover.memo.ix != nil && cover.memo.fresh.Count() > 0 {
 						bestFresh++
 					}
 					gotBest, gotBestStats := Best(m, cfg, nil)
@@ -328,7 +328,7 @@ func TestPropertyBudgetInsidePresearch(t *testing.T) {
 				t.Fatalf("seed %d k=%d: got %+v %+v, want %+v %+v", seed, k, got, gotStats, want, wantStats)
 			}
 		}
-		fresh := cover.memoFresh.Test(dc)
+		fresh := cover.memo.fresh.Test(dc)
 		if fanned && fresh != (own.Visits <= ref.MaxVisits) {
 			t.Fatalf("seed %d: budget root %d has %d visits of its own, budget %d: fresh = %v",
 				seed, dc, own.Visits, ref.MaxVisits, fresh)
@@ -361,20 +361,20 @@ func TestPropertyPresearchSkipsTruncatedRoot(t *testing.T) {
 		// neighbour has a subtree too; the neighbour is invalidated
 		// as well, so that two roots fan out.
 		r, before := -1, 0
-		for dc := 0; dc+1 < len(cover.memo); dc++ {
-			if cover.memo[dc].visits >= 2 && cover.memo[dc+1].visits > 0 {
+		for dc := 0; dc+1 < len(cover.memo.roots); dc++ {
+			if cover.memo.roots[dc].visits >= 2 && cover.memo.roots[dc+1].visits > 0 {
 				r = dc
 				break
 			}
-			before += cover.memo[dc].visits
+			before += cover.memo.roots[dc].visits
 		}
 		if r < 0 {
 			continue
 		}
-		ref := Config{MaxVisits: before + cover.memo[r].visits - 1}
-		cover.memo[r] = rootMemo{visits: 1, cap: cover.memo[r].cap}
-		cover.memoFresh.Clear(r)
-		cover.memoFresh.Clear(r + 1)
+		ref := Config{MaxVisits: before + cover.memo.roots[r].visits - 1}
+		cover.memo.roots[r] = rootMemo{visits: 1, cap: cover.memo.roots[r].cap}
+		cover.memo.fresh.Clear(r)
+		cover.memo.fresh.Clear(r + 1)
 		planted++
 		for _, budget := range []int{ref.MaxVisits, 0} {
 			cfg := Config{MaxVisits: budget, Cover: cover}

@@ -90,7 +90,9 @@ type Config struct {
 	// Set to 1 to also allow single-use factoring rectangles.
 	MinRows int
 	// OnBest, when non-nil, fires every time the incumbent best
-	// rectangle is replaced during the search. The L-shaped
+	// rectangle is replaced during the search: within a root's
+	// subtree when the root is searched live, and with the root's
+	// best candidate when a memoized root is replayed. The L-shaped
 	// algorithm uses it to speculatively cover the incumbent's
 	// cubes in the shared state table (§5.3).
 	OnBest func(prev, next Rect)
@@ -98,13 +100,19 @@ type Config struct {
 	// covered-cube set — an entry is worth its Weight unless its
 	// cube is covered — and supersedes the Valuer argument of
 	// Best/BestK (which may then be nil). This is the fast path of
-	// the greedy cover: membership is a bit test and per-column
-	// claimable values are cached inside the Cover. Without OnBest,
-	// a search through a Cover memoizes each root's subtree in it
-	// and searches the roots it has no entry for on up to GOMAXPROCS
-	// goroutines, so the Cover (and any Cover sharing its set) must
-	// not be marked while a search runs.
+	// the greedy cover: membership is a bit test, and per-column
+	// claimable values and each root's subtree result (the Cover's
+	// own Memo, which supersedes Memo below) are cached inside the
+	// Cover. Without OnBest, a search through a Cover searches the
+	// roots it has no memo entry for on up to GOMAXPROCS goroutines,
+	// so the Cover (and any Cover sharing its set) must not be
+	// marked while a search runs.
 	Cover *Cover
+	// Memo, when non-nil, memoizes each root's subtree result
+	// across searches of one matrix under the Valuer argument; the
+	// caller delivers every change to the valuer's values through
+	// Memo.Invalidate between searches (see Memo).
+	Memo *Memo
 }
 
 const (
@@ -157,6 +165,9 @@ type searcher struct {
 	cfg   Config
 	val   Valuer
 	cover *Cover
+	// memo is the root memo the search replays and records, if any:
+	// the Cover's own, or Config.Memo.
+	memo  *Memo
 	best  Rect
 	stats Stats
 	// top collects ranked candidates when BestK batching is in
@@ -170,7 +181,10 @@ type searcher struct {
 }
 
 func newSearcher(m *kcm.Matrix, cfg Config, val Valuer) *searcher {
-	s := &searcher{m: m, cfg: withDefaults(cfg), val: val, cover: cfg.Cover}
+	s := &searcher{m: m, cfg: withDefaults(cfg), val: val, cover: cfg.Cover, memo: cfg.Memo}
+	if s.cover != nil {
+		s.memo = &s.cover.memo
+	}
 	s.ix = m.Index()
 	s.sc = getScratch(len(s.ix.RowIDs), len(s.ix.ColIDs), int(s.ix.MaxCubeID)+1, s.cfg.MaxCols)
 	s.top, s.local = s.sc.top, s.sc.local
@@ -203,13 +217,13 @@ func (s *searcher) listCap() int { return max(s.topCap, 1) }
 
 // run enumerates the search tree from every permitted root column.
 //
-// With a Cover and no OnBest observer, each root's complete subtree
-// result is memoized in the Cover and replayed while no Mark has
-// touched it (see Cover.Mark): its visits and evals are added as if
-// searched, so Stats stays the logical count of a full enumeration,
-// and its candidates merge into the ranking. The root where the visit
-// budget runs out is always searched live, so Truncated and the
-// partial candidate set are those of a full enumeration too. Roots
+// With a memo, each root's complete subtree result is recorded and
+// replayed while no invalidation has touched it (see Memo): its visits
+// and evals are added as if searched, so Stats stays the logical count
+// of a full enumeration, and its candidates merge into the ranking.
+// The root where the visit budget runs out is always searched live, so
+// Truncated and the partial candidate set are those of a full
+// enumeration too. In a Cover search with no OnBest observer, roots
 // with no fresh memo entry are first searched concurrently by
 // presearch; the loop below then replays them like any other entry.
 func (s *searcher) run(leftmost []int64) {
@@ -220,18 +234,24 @@ func (s *searcher) run(leftmost []int64) {
 		roots = append([]int64(nil), roots...)
 		sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
 	}
-	memo := s.cover != nil && s.cfg.OnBest == nil
-	if memo {
-		s.cover.beginSearch(s.ix, s.cfg)
-		s.presearch(roots)
+	if s.cover != nil {
+		// Before the memo binds to ix: a new snapshot rebuilds the
+		// column values with the memo.
+		s.cover.sync(s.ix)
+	}
+	if s.memo != nil {
+		s.memo.beginSearch(s.ix, s.cfg)
+		if s.cover != nil && s.cfg.OnBest == nil {
+			s.presearch(roots)
+		}
 	}
 	for _, c0 := range roots {
 		dc, ok := s.ix.ColPos(c0)
 		if !ok || len(s.ix.Cols[dc].RowIDs) == 0 {
 			continue
 		}
-		if memo {
-			if e := s.cover.memoized(dc, s.listCap()); e != nil && s.stats.Visits+e.visits <= s.cfg.MaxVisits {
+		if s.memo != nil {
+			if e := s.memo.memoized(dc, s.listCap()); e != nil && s.stats.Visits+e.visits <= s.cfg.MaxVisits {
 				s.replay(dc, e)
 				continue
 			}
@@ -242,8 +262,8 @@ func (s *searcher) run(leftmost []int64) {
 		if s.stats.Truncated {
 			break
 		}
-		if memo {
-			s.cover.store(dc, s.local, s.stats.Visits-visits, s.stats.Evals-evals, s.listCap())
+		if s.memo != nil {
+			s.memo.store(dc, s.local, s.stats.Visits-visits, s.stats.Evals-evals, s.listCap())
 		}
 	}
 }
@@ -289,7 +309,9 @@ func (s *searcher) merge(cands []Rect) {
 }
 
 // replay adds memoized root dc's subtree result as if it had been
-// searched.
+// searched. The root's best candidate is offered as the incumbent, so
+// OnBest sees the root's winner, though not the incumbents a live
+// search passes through on the way to it.
 func (s *searcher) replay(dc int, e *rootMemo) {
 	cands := e.cands[:min(len(e.cands), s.listCap())]
 	if invariant.Enabled {
@@ -298,24 +320,33 @@ func (s *searcher) replay(dc int, e *rootMemo) {
 	s.stats.Visits += e.visits
 	s.stats.Evals += e.evals
 	s.merge(cands)
-	if len(cands) > 0 && s.better(cands[0]) {
-		s.best = cands[0]
+	if len(cands) > 0 {
+		s.offer(cands[0])
 	}
 }
 
 // checkReplay re-searches root dc live on a private searcher and
 // asserts the memo entry matches it: the invariants build's proof of
-// Mark's invalidation rule.
+// the invalidation rule. The re-search reports to no OnBest observer,
+// so it publishes no speculation, and when the memo's valuer reads
+// shared state (Memo.Quiet is set), a mismatch counts only if every
+// change has been delivered both before and after the re-search.
 func (s *searcher) checkReplay(dc int, e *rootMemo, cands []Rect) {
-	live := newSearcher(s.m, s.cfg, s.val)
+	quiet := s.memo.Quiet
+	if quiet != nil && !quiet() {
+		return
+	}
+	cfg := s.cfg
+	cfg.OnBest = nil
+	live := newSearcher(s.m, cfg, s.val)
 	live.topCap = s.topCap
 	live.searchRoot(dc)
 	same := live.stats.Visits == e.visits && live.stats.Evals == e.evals && len(live.local) == len(cands)
 	for i := 0; same && i < len(cands); i++ {
 		same = CompareRects(live.local[i], cands[i]) == 0
 	}
-	invariant.Assert(same,
-		"stale root memo: dense root %d replayed %d visits, %d evals, %d candidates; live search %d, %d, %d (missed Mark invalidation?)",
+	invariant.Assert(same || (quiet != nil && !quiet()),
+		"stale root memo: dense root %d replayed %d visits, %d evals, %d candidates; live search %d, %d, %d (missed invalidation?)",
 		dc, e.visits, e.evals, len(cands), live.stats.Visits, live.stats.Evals, len(live.local))
 	live.release()
 }
@@ -473,12 +504,19 @@ func (s *searcher) evaluate(depth int) {
 		Gain: gain,
 	}
 	s.local, _ = insertRanked(s.local, cand, s.listCap())
-	if s.better(cand) {
-		if s.cfg.OnBest != nil {
-			s.cfg.OnBest(s.best, cand)
-		}
-		s.best = cand
+	s.offer(cand)
+}
+
+// offer makes cand the incumbent best when it ranks above it,
+// reporting the change to OnBest.
+func (s *searcher) offer(cand Rect) {
+	if !s.better(cand) {
+		return
 	}
+	if s.cfg.OnBest != nil {
+		s.cfg.OnBest(s.best, cand)
+	}
+	s.best = cand
 }
 
 // better reports whether cand should replace the current best, with a

@@ -112,6 +112,11 @@ func TestTable6LShaped(t *testing.T) {
 	rows6 := h.Table6()
 	r3, r6 := rows3[0], rows6[0]
 	for _, p := range []int{2, 3} {
+		// No fault is injected, so no worker may be lost; in the
+		// invariants build a failed check loses its worker.
+		if run := r6.Runs[p]; run.Recovered != 0 || run.Failure != nil {
+			t.Fatalf("p=%d: lost workers: Recovered %d, Failure %v", p, run.Recovered, run.Failure)
+		}
 		if s := r6.Speedup(p); s <= 1 {
 			t.Fatalf("p=%d: lshaped speedup %.2f not > 1", p, s)
 		}
