@@ -18,7 +18,6 @@ func checkIndex(m *Matrix, ix *Index) {
 		invariant.Assert(ix.ColIDs[j-1] < ix.ColIDs[j],
 			"dense column order broken: ColIDs[%d]=%d >= ColIDs[%d]=%d", j-1, ix.ColIDs[j-1], j, ix.ColIDs[j])
 	}
-	entryBits := 0
 	for i, r := range ix.Rows {
 		invariant.Assert(len(ix.RowRefs[i]) == len(r.Entries),
 			"row %d: %d dense refs for %d entries", r.ID, len(ix.RowRefs[i]), len(r.Entries))
@@ -27,15 +26,9 @@ func checkIndex(m *Matrix, ix *Index) {
 			invariant.Assert(ok, "row %d entry col %d missing from dense index", r.ID, e.Col)
 			invariant.Assert(int(ix.RowRefs[i][k]) == j,
 				"row %d entry %d: dense ref %d != col pos %d", r.ID, k, ix.RowRefs[i][k], j)
-			invariant.Assert(ix.RowCols[i].Test(j), "row %d: RowCols missing dense col %d", r.ID, j)
 			invariant.Assert(ix.ColRows[j].Test(i), "col %d: ColRows missing dense row %d", e.Col, i)
 		}
 	}
-	for i := range ix.RowCols {
-		entryBits += ix.RowCols[i].Count()
-	}
-	invariant.Assert(entryBits == m.entries,
-		"dense index holds %d entry bits for %d matrix entries (stale or missing invalidation)", entryBits, m.entries)
 	colBits := 0
 	for j := range ix.ColRows {
 		colBits += ix.ColRows[j].Count()

@@ -9,8 +9,8 @@ import (
 
 // Index is the dense fast-path view of a Matrix that the rectangle
 // search runs on: rows and columns renumbered 0..n-1 in increasing
-// label order, per-column row bitsets and per-row column bitsets, and
-// per-row dense column references aligned with Row.Entries.
+// label order, per-column row bitsets, and per-row dense column
+// references aligned with Row.Entries.
 //
 // Dense positions follow label order, so iterating a column bitset in
 // ascending bit order reproduces exactly the increasing-label search
@@ -29,9 +29,8 @@ type Index struct {
 	Rows []*Row
 	Cols []*Col
 	// ColRows[j] is the set of dense rows with an entry in dense
-	// column j; RowCols[i] is the set of dense columns row i hits.
+	// column j.
 	ColRows []bitset.Set
-	RowCols []bitset.Set
 	// RowRefs[i][k] is the dense column of Rows[i].Entries[k]. Since
 	// entries are sorted by label and dense order follows label
 	// order, each RowRefs[i] is ascending.
@@ -57,7 +56,6 @@ func (m *Matrix) Index() *Index {
 		Rows:    make([]*Row, nr),
 		Cols:    make([]*Col, nc),
 		ColRows: make([]bitset.Set, nc),
-		RowCols: make([]bitset.Set, nr),
 		RowRefs: make([][]int32, nr),
 		rowPos:  make(map[int64]int32, nr),
 		colPos:  make(map[int64]int32, nc),
@@ -76,15 +74,11 @@ func (m *Matrix) Index() *Index {
 		ix.ColIDs[j] = c.ID
 		ix.colPos[c.ID] = int32(j)
 	}
-	// One backing allocation per bitset family.
-	colWords, rowWords := bitset.Words(nr), bitset.Words(nc)
+	// One backing allocation for the column bitsets.
+	colWords := bitset.Words(nr)
 	colBits := make(bitset.Set, nc*colWords)
 	for j := range ix.ColRows {
 		ix.ColRows[j] = colBits[j*colWords : (j+1)*colWords]
-	}
-	rowBits := make(bitset.Set, nr*rowWords)
-	for i := range ix.RowCols {
-		ix.RowCols[i] = rowBits[i*rowWords : (i+1)*rowWords]
 	}
 	refs := make([]int32, m.entries)
 	for i, r := range ix.Rows {
@@ -93,7 +87,6 @@ func (m *Matrix) Index() *Index {
 		for k, e := range r.Entries {
 			j := int(ix.colPos[e.Col])
 			ix.RowRefs[i][k] = int32(j)
-			ix.RowCols[i].Set(j)
 			ix.ColRows[j].Set(i)
 		}
 	}

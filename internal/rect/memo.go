@@ -19,8 +19,7 @@ import (
 // read, and the valuer's value of an entry may depend only on the
 // entry. The caller delivers every change to a cube's value through
 // Invalidate before the next search. A new index snapshot of the
-// matrix, or a search of another shape (MaxCols, MinRows), drops every
-// entry.
+// matrix, or a search with another MaxCols, drops every entry.
 //
 // A Memo is not safe for concurrent use, and must not be invalidated
 // while a search through it runs.
@@ -34,11 +33,11 @@ type Memo struct {
 
 	ix    *kcm.Index
 	roots []rootMemo
-	// fresh marks the roots whose entry is still exact; key is the
-	// search shape the entries were recorded under.
-	fresh bitset.Set
-	key   [2]int
-	cubes cubeIndex
+	// fresh marks the roots whose entry is still exact; maxCols is the
+	// search depth the entries were recorded under.
+	fresh   bitset.Set
+	maxCols int
+	cubes   cubeIndex
 }
 
 // rootMemo is one root column's complete subtree result: its ranked
@@ -76,15 +75,15 @@ func (mm *Memo) invalidate(id int64, cols bitset.Set) {
 }
 
 // beginSearch binds the memo to index snapshot ix for a search whose
-// subtree shape is set by cfg's MaxCols and MinRows; entries recorded
-// against another snapshot or shape are dropped.
+// subtree shape is set by cfg's MaxCols; entries recorded against
+// another snapshot or depth are dropped.
 func (mm *Memo) beginSearch(ix *kcm.Index, cfg Config) {
 	if mm.ix != ix {
 		mm.rebuild(ix)
 	}
-	if key := [2]int{cfg.MaxCols, cfg.MinRows}; key != mm.key {
+	if cfg.MaxCols != mm.maxCols {
 		mm.fresh.Reset()
-		mm.key = key
+		mm.maxCols = cfg.MaxCols
 	}
 }
 

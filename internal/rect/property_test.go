@@ -74,24 +74,42 @@ func allCubeIDs(m *kcm.Matrix) []int64 {
 	return ids
 }
 
+// searchPath is one way to run a search: a Config with its valuer.
+type searchPath struct {
+	name string
+	cfg  Config
+	val  Valuer
+}
+
+// checkAgreePaths asserts that Best, BestK(1) and BestK(4) of m along
+// each path equal the reference searcher's results under ref and
+// refVal, Stats included; the reference searches once for all paths.
+func checkAgreePaths(t *testing.T, m *kcm.Matrix, ref Config, refVal Valuer, paths ...searchPath) {
+	t.Helper()
+	want, wantStats := ReferenceBest(m, ref, refVal)
+	var want1 []Rect // ReferenceBestK(1), without searching again
+	if want.Rows != nil {
+		want1 = []Rect{want}
+	}
+	want4, want4Stats := ReferenceBestK(m, ref, refVal, 4)
+	for _, p := range paths {
+		if got, gotStats := Best(m, p.cfg, p.val); !reflect.DeepEqual(got, want) || gotStats != wantStats {
+			t.Fatalf("%s: Best = %+v %+v, reference = %+v %+v", p.name, got, gotStats, want, wantStats)
+		}
+		if got, gotStats := BestK(m, p.cfg, p.val, 1); !reflect.DeepEqual(got, want1) || gotStats != wantStats {
+			t.Fatalf("%s: BestK(1) = %+v %+v, reference = %+v %+v", p.name, got, gotStats, want1, wantStats)
+		}
+		if got, gotStats := BestK(m, p.cfg, p.val, 4); !reflect.DeepEqual(got, want4) || gotStats != want4Stats {
+			t.Fatalf("%s: BestK(4) = %+v %+v, reference = %+v %+v", p.name, got, gotStats, want4, want4Stats)
+		}
+	}
+}
+
+// checkAgree asserts that Best and BestK of m under cfg and val equal
+// the reference searcher's under the same arguments.
 func checkAgree(t *testing.T, name string, m *kcm.Matrix, cfg Config, val Valuer) {
 	t.Helper()
-	got, gotStats := Best(m, cfg, val)
-	want, wantStats := ReferenceBest(m, cfg, val)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: Best = %+v, reference = %+v", name, got, want)
-	}
-	if gotStats != wantStats {
-		t.Fatalf("%s: Stats = %+v, reference = %+v", name, gotStats, wantStats)
-	}
-	gotK, gotKStats := BestK(m, cfg, val, 4)
-	wantK, wantKStats := ReferenceBestK(m, cfg, val, 4)
-	if !reflect.DeepEqual(gotK, wantK) {
-		t.Fatalf("%s: BestK = %+v, reference = %+v", name, gotK, wantK)
-	}
-	if gotKStats != wantKStats {
-		t.Fatalf("%s: BestK Stats = %+v, reference = %+v", name, gotKStats, wantKStats)
-	}
+	checkAgreePaths(t, m, cfg, val, searchPath{name, cfg, val})
 }
 
 func TestPropertyBestMatchesReference(t *testing.T) {

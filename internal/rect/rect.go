@@ -18,6 +18,11 @@
 // leftmost-column decomposition — bit-for-bit identical to the
 // retained reference implementation (see reference.go).
 //
+// A node whose row set is a single row can never yield a rectangle,
+// since a kernel must be used at least twice, so the searcher counts
+// such a node's subtree in closed form instead of expanding it
+// (countSubtree); Stats stay the counts of a full enumeration.
+//
 // The package is determinism-critical: enumeration order is the
 // contract (DESIGN.md §7), so map iteration order must never leak
 // into results.
@@ -84,11 +89,6 @@ type Config struct {
 	// LeftmostCols restricts root columns to this set — the §3
 	// decomposition. nil means all columns.
 	LeftmostCols []int64
-	// MinRows is the minimum number of participating rows. The
-	// default (0) means 2: kernel extraction looks for *common*
-	// subexpressions, so a kernel must be used at least twice.
-	// Set to 1 to also allow single-use factoring rectangles.
-	MinRows int
 	// OnBest, when non-nil, fires every time the incumbent best
 	// rectangle is replaced during the search: within a root's
 	// subtree when the root is searched live, and with the root's
@@ -118,11 +118,18 @@ type Config struct {
 const (
 	defaultMaxCols   = 8
 	defaultMaxVisits = 1 << 20
+	// minRows is the minimum number of participating rows: kernel
+	// extraction looks for *common* subexpressions, so a kernel must
+	// be used at least twice. countSubtree rests on it.
+	minRows = 2
 )
 
 // Stats reports search effort, consumed by the virtual-time model.
 type Stats struct {
-	// Visits is the number of search-tree nodes expanded.
+	// Visits is the number of search-tree nodes a full enumeration
+	// expands. It is a logical count: most of it is counted, not
+	// expanded — the subtrees of single-row nodes in closed form, and
+	// memoized roots by replay.
 	Visits int
 	// Evals is the number of rectangles whose gain was computed.
 	Evals int
@@ -150,9 +157,6 @@ func withDefaults(cfg Config) Config {
 	if cfg.MaxVisits == 0 {
 		cfg.MaxVisits = defaultMaxVisits
 	}
-	if cfg.MinRows == 0 {
-		cfg.MinRows = 2
-	}
 	return cfg
 }
 
@@ -178,6 +182,10 @@ type searcher struct {
 	// capped at listCap: the unit the Cover's root memo stores.
 	local []Rect
 	sc    *scratch
+	// live counts the nodes expanded one by one, the rest of
+	// stats.Visits having been counted or replayed; only the package
+	// tests read it.
+	live int
 }
 
 func newSearcher(m *kcm.Matrix, cfg Config, val Valuer) *searcher {
@@ -251,7 +259,7 @@ func (s *searcher) run(leftmost []int64) {
 			continue
 		}
 		if s.memo != nil {
-			if e := s.memo.memoized(dc, s.listCap()); e != nil && s.stats.Visits+e.visits <= s.cfg.MaxVisits {
+			if e := s.memo.memoized(dc, s.listCap()); e != nil && e.visits <= s.cfg.MaxVisits-s.stats.Visits {
 				s.replay(dc, e)
 				continue
 			}
@@ -285,6 +293,12 @@ func (s *searcher) searchRoot(dc int) {
 // enumerate searches the subtree of dense root column dc, whose root
 // value is non-zero, adding its ranked candidates to s.local.
 func (s *searcher) enumerate(dc int) {
+	if rows := s.ix.Cols[dc].RowIDs; len(rows) == 1 {
+		r, _ := s.ix.RowPos(rows[0])
+		if s.countSubtree(r, dc, 1) {
+			return
+		}
+	}
 	sc := s.sc
 	sc.rows[0].Copy(s.ix.ColRows[dc])
 	sc.cols[0] = s.ix.ColIDs[dc]
@@ -373,6 +387,7 @@ func (s *searcher) rootValue(dc int) int {
 // recurse expands the search-tree node whose chosen columns are
 // sc.cols[:depth] and whose row subset is sc.rows[depth-1].
 func (s *searcher) recurse(depth int) {
+	s.live++
 	s.stats.Visits++
 	if s.stats.Visits > s.cfg.MaxVisits {
 		s.stats.Truncated = true
@@ -391,11 +406,13 @@ func (s *searcher) recurse(depth int) {
 	cand := sc.cand[depth]
 	cand.Reset()
 	cvals := sc.cvals[depth]
+	only := sc.only[depth]
 	// Candidate extensions: columns beyond last present in >= 1 of
 	// the current rows, carrying non-zero claimable value (the
 	// zero-value dominance prune — see run). One pass over the
 	// surviving rows' dense entry references replaces the per-visit
-	// candidate map of the reference implementation.
+	// candidate map of the reference implementation; it also notes
+	// each candidate's only row, or -1 when several rows hit it.
 	for wi, w := range rows {
 		for w != 0 {
 			r := wi<<6 + bits.TrailingZeros64(w)
@@ -418,19 +435,25 @@ func (s *searcher) recurse(depth int) {
 				if !cand.Test(dc) {
 					cand.Set(dc)
 					cvals[dc] = v
+					only[dc] = int32(r)
 				} else {
 					cvals[dc] += v
+					only[dc] = -1
 				}
 			}
 		}
 	}
 	// Walk candidates in increasing label order (== dense order) for
-	// determinism. The row subset for an extension is one AND.
+	// determinism. The row subset for an extension is one AND, unless
+	// its only row makes it a subtree to count.
 	for wi, w := range cand {
 		for w != 0 {
 			dc := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
 			if cvals[dc] <= 0 {
+				continue
+			}
+			if r := only[dc]; r >= 0 && s.countSubtree(int(r), dc, depth+1) {
 				continue
 			}
 			sub := sc.rows[depth]
@@ -444,6 +467,60 @@ func (s *searcher) recurse(depth int) {
 			}
 		}
 	}
+}
+
+// countSubtree adds the Stats of the subtree of the node at depth
+// whose only row is dense row r and whose last column is dense column
+// dc, without expanding it, and reports whether it did. With one row
+// no node of the subtree has minRows rows, so none yields a candidate,
+// and the subtree is exactly the subsets of r's entries right of dc
+// that carry positive value, up to MaxCols-depth of them: with m such
+// entries, V = Σ_{j=0}^{min(m, MaxCols-depth)} C(m, j) visits, each
+// of them an eval except at a root. When the subtree does not fit the
+// visit budget left, it is left to the live search, so Truncated and
+// the truncation point stay exact.
+func (s *searcher) countSubtree(r, dc, depth int) bool {
+	refs := s.ix.RowRefs[r]
+	entries := s.ix.Rows[r].Entries
+	m := 0
+	for k := len(refs) - 1; k >= 0 && int(refs[k]) > dc; k-- {
+		if s.value(entries[k]) > 0 {
+			m++
+		}
+	}
+	v, ok := subsetCount(m, s.cfg.MaxCols-depth, s.cfg.MaxVisits-s.stats.Visits)
+	if !ok {
+		return false
+	}
+	s.stats.Visits += v
+	s.stats.Evals += v
+	if depth < 2 {
+		s.stats.Evals-- // a root is not evaluated
+	}
+	return true
+}
+
+// subsetCount returns the number of subsets of at most k of m items,
+// Σ_{j=0}^{min(m,k)} C(m, j), when it is at most limit; ok is false
+// otherwise. No step overflows.
+func subsetCount(m, k, limit int) (n int, ok bool) {
+	if limit < 1 {
+		return 0, false
+	}
+	n, c := 1, uint64(1)
+	for j := 0; j < min(m, k); j++ {
+		// C(m, j+1) = C(m, j)·(m-j)/(j+1), the division exact; a
+		// quotient of 64 bits or more cannot fit.
+		hi, lo := bits.Mul64(c, uint64(m-j))
+		if hi >= uint64(j+1) {
+			return 0, false
+		}
+		if c, _ = bits.Div64(hi, lo, uint64(j+1)); c > uint64(limit-n) {
+			return 0, false
+		}
+		n += int(c)
+	}
+	return n, true
 }
 
 // evaluate computes the gain of the rectangle spanned by the chosen
@@ -495,7 +572,7 @@ func (s *searcher) evaluate(depth int) {
 	sc.seenIDs = seenIDs[:0]
 	sc.keep = keep[:0]
 	gain := total - newNodeCost
-	if len(keep) < s.cfg.MinRows || gain <= 0 {
+	if len(keep) < minRows || gain <= 0 {
 		return
 	}
 	cand := Rect{
@@ -549,6 +626,7 @@ type scratch struct {
 	rows    []bitset.Set // per depth: current row subset
 	cand    []bitset.Set // per depth: candidate extension columns
 	cvals   [][]int      // per depth: claimable value per dense col
+	only    [][]int32    // per depth: a candidate's only row, or -1
 	seen    bitset.Set   // by cube id; always left zeroed
 	seenIDs []int64
 	keep    []int64
@@ -559,6 +637,7 @@ type scratch struct {
 	rowWords, colWords, nCols, depths int
 	rowsBack, candBack                bitset.Set
 	cvalBack                          []int
+	onlyBack                          []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -591,9 +670,11 @@ func (sc *scratch) ensure(nRows, nCols, cubeBits, maxCols int) {
 		sc.rowsBack = make(bitset.Set, sc.depths*sc.rowWords)
 		sc.candBack = make(bitset.Set, sc.depths*sc.colWords)
 		sc.cvalBack = make([]int, sc.depths*sc.nCols)
+		sc.onlyBack = make([]int32, sc.depths*sc.nCols)
 		sc.rows = make([]bitset.Set, sc.depths)
 		sc.cand = make([]bitset.Set, sc.depths)
 		sc.cvals = make([][]int, sc.depths)
+		sc.only = make([][]int32, sc.depths)
 		sc.cols = make([]int64, sc.depths)
 		sc.dcols = make([]int, sc.depths)
 		sc.kcost = make([]int, sc.depths)
@@ -604,6 +685,7 @@ func (sc *scratch) ensure(nRows, nCols, cubeBits, maxCols int) {
 		sc.rows[d] = sc.rowsBack[d*sc.rowWords : d*sc.rowWords+rw]
 		sc.cand[d] = sc.candBack[d*sc.colWords : d*sc.colWords+cw]
 		sc.cvals[d] = sc.cvalBack[d*sc.nCols : d*sc.nCols+nCols]
+		sc.only[d] = sc.onlyBack[d*sc.nCols : d*sc.nCols+nCols]
 	}
 	if bitset.Words(cubeBits) > len(sc.seen) {
 		sc.seen = bitset.New(cubeBits)

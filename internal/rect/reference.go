@@ -219,7 +219,7 @@ func (s *refSearcher) evaluate(cols []int64, rows []int64) {
 		}
 	}
 	gain := total - newNodeCost
-	if len(keep) < s.cfg.MinRows || gain <= 0 {
+	if len(keep) < minRows || gain <= 0 {
 		return
 	}
 	cand := Rect{Rows: keep, Cols: append([]int64(nil), cols...), Gain: gain}
