@@ -47,10 +47,12 @@ func main() {
 	// ---- Example 5.1: cube ownership ----
 	own := lshape.Distribute(mats)
 	fmt.Println("Cube ownership after Distribute_cube_ownership (Example 5.1):")
-	for p, cubes := range own.LocalCubes {
+	for p, cols := range own {
 		fmt.Printf("  local_cubes[%d] =", p)
-		for _, c := range cubes {
-			fmt.Printf(" %s(%d)", c.Format(names.Fmt()), own.GlobalID[c.Key()])
+		for k, c := range cols {
+			if c.Owner == p {
+				fmt.Printf(" %s(%d)", mats[p].Cols()[k].Cube.Format(names.Fmt()), c.Label)
+			}
 		}
 		fmt.Println()
 	}
@@ -58,9 +60,9 @@ func main() {
 
 	// ---- Figures 3/4: the L-shaped matrices ----
 	ls, exch := lshape.Assemble(mats, own)
-	for _, l := range ls {
-		fmt.Printf("L-shaped matrix of processor %d (own rows + foreign rows in owned columns):\n", l.Proc)
-		fmt.Print(l.M.Dump(names))
+	for p, l := range ls {
+		fmt.Printf("L-shaped matrix of processor %d (own rows + foreign rows in owned columns):\n", p)
+		fmt.Print(l.Dump(names))
 	}
 	fmt.Printf("exchanged B_ij entries: proc1->proc0 %d, proc0->proc1 %d\n\n",
 		exch.Words[1][0], exch.Words[0][1])

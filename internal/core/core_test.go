@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/equiv"
+	"repro/internal/gen"
 	"repro/internal/network"
 )
 
@@ -165,6 +166,34 @@ func TestLShapedDNFOnBudget(t *testing.T) {
 	res := LShaped(context.Background(), nw, 2, Options{WorkBudget: 1})
 	if !res.DNF {
 		t.Fatal("expected DNF with tiny budget")
+	}
+}
+
+func TestLShapedExchangeCharges(t *testing.T) {
+	// With a one-unit budget every worker stops at its first cover
+	// check, so the run is deterministic and its virtual time is the
+	// matrix build plus the modeled §5.2 exchange: the kernel-cube
+	// lists sent to the master, its mapping sent back, the B_ij
+	// blocks and the barriers. The figures are those of the serial
+	// design, in which worker 0 assembled every L-matrix: where the
+	// assembly runs must not move a charge.
+	want := map[string][]int64{ // p = 1, 2, 3, 4, 6
+		"misex3": {10004, 7467, 6272, 5589, 5027},
+		"dalu":   {19446, 14098, 13312, 11050, 10741},
+		"des":    {52035, 38216, 33402, 31526, 29042},
+	}
+	for _, name := range []string{"misex3", "dalu", "des"} {
+		for i, p := range []int{1, 2, 3, 4, 6} {
+			nw, err := gen.Benchmark(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := LShaped(context.Background(), nw, p, Options{WorkBudget: 1})
+			if res.VirtualTime != want[name][i] || res.Barriers != 5 || !res.DNF {
+				t.Errorf("%s p=%d: virtual time %d, %d barriers, DNF %v; want %d, 5, true",
+					name, p, res.VirtualTime, res.Barriers, res.DNF, want[name][i])
+			}
+		}
 	}
 }
 

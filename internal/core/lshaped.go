@@ -21,8 +21,9 @@ import (
 
 // LShaped runs the §5 parallel algorithm on p virtual processors:
 // min-cut partitioning, per-partition KC matrices with offset labels,
-// a master pass distributing disjoint kernel-cube ownership, exchange
-// of the overlapping B_ij blocks to form L-shaped matrices, and a
+// disjoint kernel-cube ownership (resolved on every worker, priced as
+// the paper's master pass), exchange of the overlapping B_ij blocks so
+// that each worker assembles its own L-shaped matrix, and a
 // concurrent greedy cover in which workers speculatively cover cubes
 // in a shared state table (value/trueval/owner, Table 5), forward
 // partial rectangles that touch foreign nodes to those nodes' owners,
@@ -200,8 +201,7 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 	}
 
 	mats := make([]*kcm.Matrix, p)
-	var ls []*lshape.LMatrix
-	var exch lshape.ExchangeStats
+	own := make(lshape.Ownership, p)
 	st := NewStateTable()
 	st.SetOwnerCheck(!opt.DisableOwnerCheck)
 	queues := make([]*fwdQueue, p)
@@ -251,26 +251,29 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 				return
 			}
 
-			// Phase 2: the master distributes cube ownership and
-			// the workers exchange B_ij blocks. Worker 0 computes
-			// the assembly; communication costs are charged per
-			// the exchange statistics.
+			// Phase 2: the matrices are now read-only. Each worker
+			// resolves its own columns' owners and global labels
+			// against the lower-numbered workers' matrices; the
+			// model still prices the master's distribution, so
+			// worker 0 charges the mapping sent back to each worker.
+			own[w] = lshape.Resolve(mats, w)
 			if w == 0 {
-				own := lshape.Distribute(mats)
-				ls, exch = lshape.Assemble(mats, own)
-				for i := range exch.Words {
-					// Mapping back to each worker.
+				for i := range mats {
 					mc.ChargeSend(0, i, len(mats[i].Cols()))
 				}
 			}
 			if !mc.Barrier(w) {
 				return
 			}
-			for j := 0; j < p; j++ {
-				if n := exch.Words[w][j]; n > 0 {
+			// Every slice is resolved: ship B_wj to each worker j
+			// and assemble this worker's L-shaped matrix from its
+			// own rows and the legs B_iw (§5.1 lines 11-12).
+			for j, n := range lshape.Sends(mats, own, w) {
+				if n > 0 {
 					mc.ChargeSend(w, j, n)
 				}
 			}
+			l := lshape.AssembleProc(mats, own, w)
 			if !mc.Barrier(w) {
 				return
 			}
@@ -280,13 +283,13 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 			// shared state table and forwarding of partial
 			// rectangles. The budget is checked between
 			// rectangles.
-			l := ls[w]
+			//
 			// banned holds cubes this worker lost a claim race
 			// for: excluding them from future searches guarantees
 			// progress when two workers speculate on overlapping
 			// rectangles (each failed claim shrinks the loser's
 			// search space; the winner divides the cubes).
-			banned := rect.NewCubeSet(l.M.MaxCubeID())
+			banned := rect.NewCubeSet(l.MaxCubeID())
 			//repolint:allow vtimecharge -- per-entry Value reads during the search are amortized into ChargeSearchVisits after BestK returns (§5's search cost already prices matrix-entry touches)
 			val := func(e kcm.Entry) int {
 				if banned.Has(e.CubeID) {
@@ -294,6 +297,11 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 				}
 				return st.Value(w, e.CubeID, e.Weight)
 			}
+			// current values a cube as this worker sees it now, for
+			// the zero-cost gain; unlike val it does not zero banned
+			// cubes.
+			//repolint:allow vtimecharge -- read-only revalidation on the claim path; its lock cost is modeled by the ChargeLock immediately before st.Claim
+			current := func(e kcm.Entry) int { return st.Value(w, e.CubeID, e.Weight) }
 			// memo replays the root columns whose values no write
 			// has touched since this worker's last search. Before
 			// each search the worker invalidates the cubes the
@@ -341,14 +349,14 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 					// one's (§5.3).
 					mc.ChargeLock(w)
 					if prev.Rows != nil {
-						ids, _ := rectCubes(l.M, prev)
+						ids, _ := rectCubes(l, prev)
 						st.Release(w, ids)
 					}
-					ids, weights := rectCubes(l.M, next)
+					ids, weights := rectCubes(l, next)
 					st.Cover(w, ids, weights)
 					specIDs = ids
 				}
-				batch, stats := rect.BestK(l.M, cfg, val, batchK)
+				batch, stats := rect.BestK(l, cfg, val, batchK)
 				mc.ChargeSearchVisits(w, stats.Visits)
 				if len(batch) == 0 {
 					if specIDs != nil {
@@ -358,15 +366,15 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 				}
 				progressed := false
 				for _, best := range batch {
-					ids, weights := rectCubes(l.M, best)
+					ids, weights := rectCubes(l, best)
 					// Per-node groups and their zero-cost gains,
 					// evaluated before the claim consumes the
 					// values.
-					groups := extract.GroupRows(l.M, best)
+					groups := extract.GroupRows(l, best)
 					zc := make([]int, len(groups))
 					backs := make([][]sop.Cube, len(groups))
 					for gi, nr := range groups {
-						zc[gi], backs[gi] = zeroCostGainState(l.M, nr, st, w)
+						zc[gi], backs[gi] = extract.ZeroCostGain(l, nr, current)
 						if opt.DisableZeroCostCheck {
 							zc[gi] = 1 // always re-expand (ablation)
 						}
@@ -377,11 +385,11 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 					mc.ChargeLock(w)
 					rowCost := 0
 					for _, rid := range best.Rows {
-						rowCost += l.M.Row(rid).CoKernel.Weight() + 1
+						rowCost += l.Row(rid).CoKernel.Weight() + 1
 					}
 					kernelCost := 0
 					for _, c := range best.Cols {
-						kernelCost += l.M.Col(c).Cube.Weight()
+						kernelCost += l.Col(c).Cube.Weight()
 					}
 					_, ok := st.Claim(w, ids, weights, func(total int) bool {
 						return total-rowCost-kernelCost > 0
@@ -399,7 +407,7 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 					progressed = true
 					// Extract: create the kernel node, divide own
 					// nodes, forward foreign ones.
-					kernel := extract.KernelOf(l.M, best)
+					kernel := extract.KernelOf(l, best)
 					nwMu.Lock()
 					v := nw.NewNodeVar(kernel)
 					nwMu.Unlock()
@@ -546,31 +554,4 @@ func rectCubes(m *kcm.Matrix, r rect.Rect) ([]int64, []int) {
 		}
 	}
 	return ids, weights
-}
-
-// zeroCostGainState is extract.ZeroCostGain against the shared state
-// table instead of a covered set: the gain of rewriting one node's
-// rows assuming the kernel costs nothing, with cube values as worker
-// w currently sees them.
-//
-//repolint:allow vtimecharge -- read-only revalidation on the claim path; its lock cost is modeled by the caller's ChargeLock immediately before st.Claim
-func zeroCostGainState(m *kcm.Matrix, nr extract.NodeRows, st *StateTable, w int) (int, []sop.Cube) {
-	gain := 0
-	var cubes []sop.Cube
-	for _, rid := range nr.Rows {
-		row := m.Row(rid)
-		rowVal := 0
-		for _, c := range nr.Cols {
-			e, ok := row.Entry(c)
-			if !ok {
-				continue
-			}
-			rowVal += st.Value(w, e.CubeID, e.Weight)
-			if fc, ok2 := row.CoKernel.Union(m.Col(c).Cube); ok2 {
-				cubes = append(cubes, fc)
-			}
-		}
-		gain += rowVal - (row.CoKernel.Weight() + 1)
-	}
-	return gain, cubes
 }

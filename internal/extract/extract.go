@@ -249,8 +249,9 @@ func ApplyRect(nw *network.Network, m *kcm.Matrix, r rect.Rect, kernel sop.Expr,
 	touched := kernel.NumCubes()
 	changed := false
 	var dirty []sop.Var
+	val := covered.Valuer()
 	for _, nr := range GroupRows(m, r) {
-		zc, addBack := ZeroCostGain(m, nr, covered)
+		zc, addBack := ZeroCostGain(m, nr, val)
 		t, ch := DivideNode(nw, nr.Node, v, kernel, addBack, zc)
 		touched += t
 		if ch {
@@ -310,10 +311,11 @@ func GroupRows(m *kcm.Matrix, r rect.Rect) []NodeRows {
 
 // ZeroCostGain evaluates the §5.3 profitability check for one node's
 // portion of a rectangle: the literal gain of rewriting its rows
-// assuming the kernel itself costs nothing, under the current covered
-// state. It also returns the function cubes the rows denote, for the
-// add-back step.
-func ZeroCostGain(m *kcm.Matrix, nr NodeRows, covered *rect.Cover) (int, []sop.Cube) {
+// assuming the kernel itself costs nothing, with each cube worth what
+// val says now (a covered set's Valuer, or the parallel driver's view
+// of the shared state table). It also returns the function cubes the
+// rows denote, for the add-back step.
+func ZeroCostGain(m *kcm.Matrix, nr NodeRows, val rect.Valuer) (int, []sop.Cube) {
 	gain := 0
 	var cubes []sop.Cube
 	for _, rid := range nr.Rows {
@@ -324,9 +326,7 @@ func ZeroCostGain(m *kcm.Matrix, nr NodeRows, covered *rect.Cover) (int, []sop.C
 			if !ok {
 				continue
 			}
-			if !covered.Has(e.CubeID) {
-				rowVal += e.Weight
-			}
+			rowVal += val(e)
 			fc, ok2 := row.CoKernel.Union(m.Col(c).Cube)
 			if ok2 {
 				cubes = append(cubes, fc)

@@ -130,7 +130,7 @@ func TestZeroCostCheckReproducesExample52(t *testing.T) {
 			nr.Cols = append(nr.Cols, col.ID)
 		}
 	}
-	zc, addBack := ZeroCostGain(m, nr, covered)
+	zc, addBack := ZeroCostGain(m, nr, covered.Valuer())
 	if zc > 0 {
 		t.Fatalf("zero-cost gain = %d, want <= 0 (all four cubes covered)", zc)
 	}

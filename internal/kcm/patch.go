@@ -332,6 +332,10 @@ func (p *Patcher) recycleRetired() {
 // repeat a node: cube ids are assigned from per-node ordinal blocks, so
 // a duplicate occurrence would get a fresh block where the reference
 // Builder reuses the first one.
+//
+// Columns are labeled by position: the k-th column of Cols() (from 0)
+// is labeled proc·Stride+k+1, so internal/lshape finds an entry's
+// column from its label without hashing.
 func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 	base := int64(p.proc) * Stride
 	rowSeq, colSeq, cubeSeq := base, base, base

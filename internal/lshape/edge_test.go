@@ -26,10 +26,10 @@ func TestDistributeEmptyPartition(t *testing.T) {
 	if len(ls) != 2 {
 		t.Fatal("want 2 L matrices")
 	}
-	if len(ls[1].M.Rows()) != 0 {
+	if len(ls[1].Rows()) != 0 {
 		t.Fatal("empty partition must yield an empty slab")
 	}
-	if len(o.LocalCubes[1]) != 0 {
+	if len(owned(o, 1)) != 0 {
 		t.Fatal("empty partition owns no cubes")
 	}
 }
@@ -84,7 +84,7 @@ func TestAssemblePreservesEntryCounts(t *testing.T) {
 	}
 	total := 0
 	for _, l := range ls {
-		total += l.M.NumEntries()
+		total += l.NumEntries()
 	}
 	if total != slab+shipped {
 		t.Fatalf("entries: %d L-total vs %d slab + %d shipped", total, slab, shipped)
@@ -103,8 +103,8 @@ func TestSequentialLWithRestrictedSearch(t *testing.T) {
 }
 
 func TestOwnershipGlobalIDsResolve(t *testing.T) {
-	// Every global id must resolve to a cube via its owner matrix —
-	// the invariant cubeOfGlobal relies on.
+	// Every global id must resolve to its cube via its owner matrix —
+	// the invariant that lets the legs intern no column.
 	nw, err := gen.Benchmark("misex3")
 	if err != nil {
 		t.Fatal(err)
@@ -112,17 +112,18 @@ func TestOwnershipGlobalIDsResolve(t *testing.T) {
 	parts := partition.KWay(nw, nil, 4, partition.Options{})
 	mats := BuildMatrices(nw, parts, kernels.Options{})
 	o := Distribute(mats)
-	for key, gid := range o.GlobalID {
-		owner := o.Owner[key]
-		col := mats[owner].Col(gid)
-		if col == nil {
-			t.Fatalf("global id %d (owner %d) not in owner matrix", gid, owner)
-		}
-		if col.Cube.Key() != key {
-			t.Fatalf("global id %d resolves to wrong cube", gid)
-		}
-		if gid/kcm.Stride != int64(owner) {
-			t.Fatalf("global id %d not in owner %d's label range", gid, owner)
+	for p, cols := range o {
+		for k, c := range cols {
+			col := mats[c.Owner].Col(c.Label)
+			if col == nil {
+				t.Fatalf("global id %d (owner %d) not in owner matrix", c.Label, c.Owner)
+			}
+			if !col.Cube.Equal(mats[p].Cols()[k].Cube) {
+				t.Fatalf("global id %d resolves to wrong cube", c.Label)
+			}
+			if c.Label/kcm.Stride != int64(c.Owner) {
+				t.Fatalf("global id %d not in owner %d's label range", c.Label, c.Owner)
+			}
 		}
 	}
 }

@@ -81,7 +81,7 @@ func ExtractCall(nw *network.Network, parts [][]sop.Var, opt Options) CallResult
 	res.Exchange = exch
 	var maxCube int64
 	for _, l := range ls {
-		if id := l.M.MaxCubeID(); id > maxCube {
+		if id := l.MaxCubeID(); id > maxCube {
 			maxCube = id
 		}
 	}
@@ -90,7 +90,7 @@ func ExtractCall(nw *network.Network, parts [][]sop.Var, opt Options) CallResult
 	set := rect.NewCubeSet(maxCube)
 	covers := make([]*rect.Cover, len(ls))
 	for p, l := range ls {
-		covers[p] = rect.NewCoverShared(l.M, set)
+		covers[p] = rect.NewCoverShared(l, set)
 	}
 	k := opt.BatchK
 	if k < 1 {
@@ -100,14 +100,14 @@ func ExtractCall(nw *network.Network, parts [][]sop.Var, opt Options) CallResult
 		cfg := opt.Rect
 		cfg.Cover = covers[p]
 		for {
-			batch, stats := rect.BestK(l.M, cfg, nil, k)
+			batch, stats := rect.BestK(l, cfg, nil, k)
 			res.PerProc[p].SearchVisits += stats.Visits
 			if len(batch) == 0 {
 				break
 			}
 			for _, best := range batch {
-				kernel := extract.KernelOf(l.M, best)
-				v, _, touched, changed := extract.ApplyRect(nw, l.M, best, kernel, covers[p])
+				kernel := extract.KernelOf(l, best)
+				v, _, touched, changed := extract.ApplyRect(nw, l, best, kernel, covers[p])
 				res.PerProc[p].DivisionCubes += touched
 				if changed {
 					res.Extracted++

@@ -7,87 +7,40 @@
 // to the columns it owns (the vertical leg). The overlap is what lets
 // a partitioned search still find rectangles that span partitions,
 // while ownership keeps duplicate kernels from being extracted twice.
+//
+// Both steps are split per processor (Resolve, AssembleProc), so the
+// parallel driver runs them on every worker at once while the
+// sequential one loops over them (Distribute, Assemble).
+//
+// The package is determinism-critical: L-matrix row order reaches
+// Matrix.Dump and the paper examples (Figure 4).
+//
+//repolint:determinism-critical
 package lshape
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"repro/internal/kcm"
-	"repro/internal/sop"
 )
 
+// Column is the ownership of one column of a processor's partition
+// matrix.
+type Column struct {
+	// Label is the column's global label: the owning processor's
+	// local label, as in Example 5.1 where cube a keeps label 1 from
+	// processor 0.
+	Label int64
+	// Owner is the lowest-numbered processor whose matrix has the
+	// column's cube.
+	Owner int
+}
+
 // Ownership records the result of Distribute_cube_ownership (§5.2):
-// the disjoint assignment of kernel cubes to processors and the
-// mapping from each processor's local column labels to global ones.
-type Ownership struct {
-	// Owner maps a kernel cube (by key) to its owning processor.
-	Owner map[string]int
-	// GlobalID maps a kernel cube (by key) to its global column
-	// label: the owning processor's local label, as in Example 5.1
-	// where cube a keeps label 1 from processor 0.
-	GlobalID map[string]int64
-	// LocalCubes lists, per processor, the cubes it owns, in
-	// global label order.
-	LocalCubes [][]sop.Cube
-	// LocalToGlobal maps, per processor, local column labels to
-	// global ones.
-	LocalToGlobal []map[int64]int64
-}
-
-// OwnedCols returns the set of global column labels processor p owns.
-func (o *Ownership) OwnedCols(p int) map[int64]bool {
-	out := map[int64]bool{}
-	for key, owner := range o.Owner {
-		if owner == p {
-			out[o.GlobalID[key]] = true
-		}
-	}
-	return out
-}
-
-// Distribute performs the greedy cube-ownership pass of
-// L-SHAPED_PARTITION: processor 0 owns all its cubes, processor i
-// owns all its cubes not owned by processors 0..i-1. Matrices are
-// visited in processor order and columns in label order, so the
-// result is deterministic.
-func Distribute(mats []*kcm.Matrix) *Ownership {
-	o := &Ownership{
-		Owner:         map[string]int{},
-		GlobalID:      map[string]int64{},
-		LocalCubes:    make([][]sop.Cube, len(mats)),
-		LocalToGlobal: make([]map[int64]int64, len(mats)),
-	}
-	for p, m := range mats {
-		o.LocalToGlobal[p] = map[int64]int64{}
-		cols := append([]*kcm.Col(nil), m.Cols()...)
-		sort.Slice(cols, func(i, j int) bool { return cols[i].ID < cols[j].ID })
-		for _, c := range cols {
-			key := c.Cube.Key()
-			if _, taken := o.Owner[key]; !taken {
-				o.Owner[key] = p
-				o.GlobalID[key] = c.ID
-				o.LocalCubes[p] = append(o.LocalCubes[p], c.Cube)
-			}
-			o.LocalToGlobal[p][c.ID] = o.GlobalID[key]
-		}
-	}
-	return o
-}
-
-// LMatrix is one processor's L-shaped matrix.
-type LMatrix struct {
-	// Proc is the owning processor.
-	Proc int
-	// M is the assembled matrix: own rows over all own columns,
-	// plus foreign rows restricted to owned columns. Column labels
-	// are global.
-	M *kcm.Matrix
-	// Owned is the set of global column labels this processor owns.
-	Owned map[int64]bool
-	// OwnRows is the set of row ids originating from this
-	// processor's own partition.
-	OwnRows map[int64]bool
-}
+// Ownership[p][k] resolves column k of processor p's matrix, in
+// Cols() order. A processor owns the columns whose Owner is itself.
+type Ownership [][]Column
 
 // ExchangeStats reports the words shipped between processors while
 // building the L shapes, for the virtual-time model: Words[i][j] is
@@ -97,102 +50,112 @@ type ExchangeStats struct {
 	Words [][]int
 }
 
-// Assemble builds every processor's L-shaped matrix from the
-// per-partition matrices. Row labels are preserved; column labels are
-// rewritten to global ones, so entries denoting the same function
-// cube carry the same CubeID everywhere — the shared state the §5.3
-// protocol relies on.
-func Assemble(mats []*kcm.Matrix, o *Ownership) ([]*LMatrix, ExchangeStats) {
-	n := len(mats)
-	stats := ExchangeStats{Words: make([][]int, n)}
-	for i := range stats.Words {
-		stats.Words[i] = make([]int, n)
-	}
-	out := make([]*LMatrix, n)
-	for p := range mats {
-		out[p] = &LMatrix{
-			Proc:    p,
-			M:       kcm.NewMatrix(),
-			Owned:   o.OwnedCols(p),
-			OwnRows: map[int64]bool{},
+// Resolve returns processor p's slice of the ownership. A column's
+// cube belongs to the lowest-numbered processor whose matrix has it,
+// so p probes only mats[0..p-1]; they are read through ColByCube
+// alone, and workers may resolve concurrently once every matrix is
+// built. The matrices must be Patcher-built: Resolve panics if a
+// column of mats[p] is not labeled by its position (see
+// kcm.Patcher.Assemble), since AssembleProc finds an entry's column
+// from its label.
+func Resolve(mats []*kcm.Matrix, p int) []Column {
+	cols := mats[p].Cols()
+	out := make([]Column, len(cols))
+	base := int64(p) * kcm.Stride
+	for k, c := range cols {
+		if c.ID != base+int64(k)+1 {
+			panic(fmt.Sprintf("lshape: column %d of processor %d is not labeled by its position %d", c.ID, p, k))
 		}
-	}
-	// Horizontal slabs: each processor's own rows, relabeled to
-	// global column ids.
-	for p, m := range mats {
-		l := out[p]
-		for _, c := range m.Cols() {
-			gid := o.LocalToGlobal[p][c.ID]
-			l.M.InternColumn(c.Cube, gid)
-		}
-		for _, r := range m.Rows() {
-			nr := &kcm.Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel}
-			for _, e := range r.Entries {
-				e.Col = o.LocalToGlobal[p][e.Col]
-				nr.Entries = append(nr.Entries, e)
-			}
-			l.M.AddRow(nr)
-			l.OwnRows[r.ID] = true
-		}
-	}
-	// Vertical legs: processor i ships B_ij (its rows restricted to
-	// columns owned by j) to processor j.
-	for i, m := range mats {
-		for j := range mats {
-			if i == j {
-				continue
-			}
-			l := out[j]
-			for _, r := range m.Rows() {
-				var entries []kcm.Entry
-				for _, e := range r.Entries {
-					gid := o.LocalToGlobal[i][e.Col]
-					if l.Owned[gid] {
-						e.Col = gid
-						entries = append(entries, e)
-					}
-				}
-				if len(entries) == 0 {
-					continue
-				}
-				nr := &kcm.Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel, Entries: entries}
-				// Intern the owned columns (they exist in j's
-				// matrix already if j had the cube; otherwise
-				// they are new to j).
-				for _, e := range entries {
-					cube := cubeOfGlobal(mats, o, e.Col)
-					l.M.InternColumn(cube, e.Col)
-				}
-				l.M.AddRow(nr)
-				stats.Words[i][j] += len(entries)
+		out[k] = Column{Label: c.ID, Owner: p}
+		for i := range p {
+			if oc := mats[i].ColByCube(c.Cube); oc != nil {
+				out[k] = Column{Label: oc.ID, Owner: i}
+				break
 			}
 		}
 	}
-	for _, l := range out {
-		l.M.SortColRows()
-	}
-	return out, stats
+	return out
 }
 
-// cubeOfGlobal finds the cube a global column label stands for by
-// asking its owning processor's matrix.
-func cubeOfGlobal(mats []*kcm.Matrix, o *Ownership, gid int64) sop.Cube {
-	// The owner's local label equals the global label.
-	owner := int(gid / kcm.Stride)
-	if owner < len(mats) {
-		if c := mats[owner].Col(gid); c != nil {
-			return c.Cube
+// Distribute performs the greedy cube-ownership pass of
+// L-SHAPED_PARTITION: processor 0 owns all its cubes, processor i
+// owns all its cubes not owned by processors 0..i-1.
+func Distribute(mats []*kcm.Matrix) Ownership {
+	o := make(Ownership, len(mats))
+	for p := range mats {
+		o[p] = Resolve(mats, p)
+	}
+	return o
+}
+
+// Sends returns the size of each sub-block B_ij processor i ships:
+// Sends(mats, o, i)[j] counts the entries of mats[i] in columns that
+// processor j ≠ i owns. It reads only processor i's own slice.
+func Sends(mats []*kcm.Matrix, o Ownership, i int) []int {
+	words := make([]int, len(mats))
+	for k, c := range mats[i].Cols() {
+		if j := o[i][k].Owner; j != i {
+			words[j] += len(c.RowIDs)
 		}
 	}
-	// Fallback: scan all matrices.
-	for p, m := range mats {
-		for l, g := range o.LocalToGlobal[p] {
-			if g == gid {
-				if c := m.Col(l); c != nil {
-					return c.Cube
-				}
+	return words
+}
+
+// AssembleProc builds processor j's L-shaped matrix: its own rows in
+// mats[j] order, then the leg B_ij pulled from every other processor
+// i in processor order. Row labels are preserved; column labels are
+// rewritten to global ones, so entries denoting the same function
+// cube carry the same CubeID everywhere — the shared state the §5.3
+// protocol relies on. The legs intern no column: a column j owns is
+// by definition in mats[j], whose columns are all interned first.
+// Peers' matrices are read only through Rows, Cols and RowIDs, so
+// every processor may assemble concurrently.
+func AssembleProc(mats []*kcm.Matrix, o Ownership, j int) *kcm.Matrix {
+	l := kcm.NewMatrix()
+	for k, c := range mats[j].Cols() {
+		l.InternColumn(c.Cube, o[j][k].Label)
+	}
+	pull(l, mats, o, j, j)
+	for i := range mats {
+		if i != j {
+			pull(l, mats, o, i, j)
+		}
+	}
+	l.SortColRows()
+	return l
+}
+
+// pull adds mats[i]'s rows to processor j's L-matrix l with global
+// column labels: every row and entry when i == j (the slab), else only
+// the entries in columns j owns, dropping rows left empty (B_ij).
+func pull(l *kcm.Matrix, mats []*kcm.Matrix, o Ownership, i, j int) {
+	base := int64(i) * kcm.Stride
+	var buf []kcm.Entry
+	for _, r := range mats[i].Rows() {
+		buf = buf[:0]
+		for _, e := range r.Entries {
+			c := o[i][e.Col-base-1]
+			if i != j && c.Owner != j {
+				continue
 			}
+			e.Col = c.Label
+			buf = append(buf, e)
 		}
+		if i != j && len(buf) == 0 {
+			continue
+		}
+		l.AddRow(&kcm.Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel, Entries: slices.Clone(buf)})
 	}
-	return nil
+}
+
+// Assemble builds every processor's L-shaped matrix from the
+// per-partition matrices, and counts the B_ij words exchanged.
+func Assemble(mats []*kcm.Matrix, o Ownership) ([]*kcm.Matrix, ExchangeStats) {
+	ls := make([]*kcm.Matrix, len(mats))
+	stats := ExchangeStats{Words: make([][]int, len(mats))}
+	for p := range mats {
+		ls[p] = AssembleProc(mats, o, p)
+		stats.Words[p] = Sends(mats, o, p)
+	}
+	return ls, stats
 }

@@ -25,6 +25,17 @@ func paperSetup(t *testing.T) (*network.Network, [][]sop.Var, []*kcm.Matrix) {
 	return nw, parts, mats
 }
 
+// owned returns the global labels of the columns processor p owns.
+func owned(o Ownership, p int) map[int64]bool {
+	out := map[int64]bool{}
+	for _, c := range o[p] {
+		if c.Owner == p {
+			out[c.Label] = true
+		}
+	}
+	return out
+}
+
 func TestDistributePaperExample51(t *testing.T) {
 	nw, _, mats := paperSetup(t)
 	o := Distribute(mats)
@@ -35,9 +46,20 @@ func TestDistributePaperExample51(t *testing.T) {
 		"d*e": 1, "g": 1,
 	}
 	got := map[string]int{}
-	for p, cubes := range o.LocalCubes {
-		for _, c := range cubes {
-			got[c.Format(fmtc)] = p
+	for p, cols := range o {
+		for k, c := range cols {
+			if c.Owner != p {
+				continue
+			}
+			got[mats[p].Cols()[k].Cube.Format(fmtc)] = p
+			// Global ids: proc 0's cubes keep ids < Stride; proc
+			// 1's owned cubes keep ids > Stride.
+			if p == 0 && c.Label >= kcm.Stride {
+				t.Fatalf("proc0 cube has global id %d", c.Label)
+			}
+			if p == 1 && c.Label <= kcm.Stride {
+				t.Fatalf("proc1 cube has global id %d", c.Label)
+			}
 		}
 	}
 	if len(got) != len(wantOwner) {
@@ -48,23 +70,12 @@ func TestDistributePaperExample51(t *testing.T) {
 			t.Fatalf("cube %s owned by %d want %d (%v)", k, got[k], v, got)
 		}
 	}
-	// Global ids: proc 0's cubes keep ids < Stride; proc 1's owned
-	// cubes keep ids > Stride.
-	for key, owner := range o.Owner {
-		gid := o.GlobalID[key]
-		if owner == 0 && gid >= kcm.Stride {
-			t.Fatalf("proc0 cube has global id %d", gid)
-		}
-		if owner == 1 && gid <= kcm.Stride {
-			t.Fatalf("proc1 cube has global id %d", gid)
-		}
-	}
 	// Proc 1's shared cubes map to proc 0's labels
 	// (local_cube_index => global_cube_index of Example 5.1).
 	remapped := 0
-	for local, global := range o.LocalToGlobal[1] {
-		if global < kcm.Stride {
-			if local < kcm.Stride {
+	for k, c := range o[1] {
+		if c.Label < kcm.Stride {
+			if mats[1].Cols()[k].ID < kcm.Stride {
 				t.Fatal("proc1 local label below stride")
 			}
 			remapped++
@@ -77,27 +88,29 @@ func TestDistributePaperExample51(t *testing.T) {
 }
 
 func TestAssembleFigure4(t *testing.T) {
-	nw, _, mats := paperSetup(t)
+	_, _, mats := paperSetup(t)
 	o := Distribute(mats)
 	ls, exch := Assemble(mats, o)
 	if len(ls) != 2 {
 		t.Fatalf("want 2 L matrices")
 	}
-	l0, l1 := ls[0], ls[1]
+	// A row is processor j's own when its label is in j's range.
+	own := func(j int, r *kcm.Row) bool { return r.ID/kcm.Stride == int64(j) }
 	// Figure 4, processor 0: own rows (G a, G b, G ce, G f, H de)
 	// plus F's rows restricted to columns a,b,c,ce,f — F de (a,b,c),
 	// F f (a,b), F g (a,c), F a (f), F b (f), F c (nothing owned by
 	// 0 besides...). F a's entries: f(owned by 0), de, g (owned by
 	// 1) => restricted to {f}. F c: de(1), g(1) => empty, dropped.
+	owned0 := owned(o, 0)
 	ownRows0 := 0
 	foreignRows0 := 0
-	for _, r := range l0.M.Rows() {
-		if l0.OwnRows[r.ID] {
+	for _, r := range ls[0].Rows() {
+		if own(0, r) {
 			ownRows0++
 		} else {
 			foreignRows0++
 			for _, e := range r.Entries {
-				if !l0.Owned[e.Col] {
+				if !owned0[e.Col] {
 					t.Fatalf("foreign row %d has entry in unowned col %d", r.ID, e.Col)
 				}
 			}
@@ -113,8 +126,8 @@ func TestAssembleFigure4(t *testing.T) {
 	// restricted to columns de, g — none of G's kernel cubes are
 	// de or g, H's kernel cubes are a, c — so no foreign rows.
 	ownRows1, foreignRows1 := 0, 0
-	for _, r := range l1.M.Rows() {
-		if l1.OwnRows[r.ID] {
+	for _, r := range ls[1].Rows() {
+		if own(1, r) {
 			ownRows1++
 		} else {
 			foreignRows1++
@@ -130,7 +143,6 @@ func TestAssembleFigure4(t *testing.T) {
 	if exch.Words[0][1] != 0 {
 		t.Fatalf("unexpected shipment proc0->proc1: %d", exch.Words[0][1])
 	}
-	_ = nw
 }
 
 func TestAssembleConsistentCubeIDs(t *testing.T) {
@@ -146,7 +158,7 @@ func TestAssembleConsistentCubeIDs(t *testing.T) {
 	}
 	byCube := map[int64][]loc{}
 	for _, l := range ls {
-		for _, r := range l.M.Rows() {
+		for _, r := range l.Rows() {
 			for _, e := range r.Entries {
 				byCube[e.CubeID] = append(byCube[e.CubeID], loc{r.Node, r.ID, e.Col})
 			}
@@ -163,7 +175,7 @@ func TestAssembleConsistentCubeIDs(t *testing.T) {
 	// And the same (row,col) in different L matrices must agree.
 	seen := map[[2]int64]int64{}
 	for _, l := range ls {
-		for _, r := range l.M.Rows() {
+		for _, r := range l.Rows() {
 			for _, e := range r.Entries {
 				k := [2]int64{r.ID, e.Col}
 				if prev, ok := seen[k]; ok && prev != e.CubeID {
@@ -233,7 +245,7 @@ func TestOwnedColsDisjoint(t *testing.T) {
 	o := Distribute(mats)
 	seen := map[int64]int{}
 	for p := 0; p < len(mats); p++ {
-		for gid := range o.OwnedCols(p) {
+		for gid := range owned(o, p) {
 			if prev, dup := seen[gid]; dup {
 				t.Fatalf("column %d owned by both %d and %d", gid, prev, p)
 			}

@@ -374,8 +374,8 @@ func MeasuredSparsity(nw *network.Network, k int, kopts kernels.Options, popts p
 	sum := 0.0
 	n := 0
 	for _, l := range ls {
-		if len(l.M.Rows()) > 0 {
-			sum += l.M.Sparsity()
+		if len(l.Rows()) > 0 {
+			sum += l.Sparsity()
 			n++
 		}
 	}
