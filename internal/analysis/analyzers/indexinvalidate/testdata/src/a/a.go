@@ -60,8 +60,8 @@ func Merge(dst, src *Matrix) { // want `Merge mutates Matrix field\(s\) rows but
 	dst.rows = append(dst.rows, src.rows...)
 }
 
-// Counter mimics rect.CubeSet: the hook is a version field, and
-// touching it (increment or assignment) counts as invalidation.
+// Counter's hook is a version field: touching it (increment or
+// assignment) counts as invalidation.
 //
 //repolint:invalidate version
 type Counter struct {

@@ -2,8 +2,8 @@
 
 // Package invariant is the runtime complement of the repolint static
 // suite: cheap cross-checks of the invariants the analyzers cannot
-// prove at compile time — dense-index/matrix agreement, column-value
-// cache freshness, legal Table 5 state transitions. The checks are
+// prove at compile time — dense-index/matrix agreement, root-memo
+// freshness, legal Table 5 state transitions. The checks are
 // compiled in only under the "invariants" build tag (the CI lane runs
 // `go test -race -tags invariants ./...`); in a default build Enabled
 // is a constant false and every guarded check is dead-code-eliminated,

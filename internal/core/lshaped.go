@@ -284,40 +284,27 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 			// rectangles. The budget is checked between
 			// rectangles.
 			//
-			// banned holds cubes this worker lost a claim race
-			// for: excluding them from future searches guarantees
-			// progress when two workers speculate on overlapping
-			// rectangles (each failed claim shrinks the loser's
-			// search space; the winner divides the cubes).
-			banned := rect.NewCubeSet(l.MaxCubeID())
-			//repolint:allow vtimecharge -- per-entry Value reads during the search are amortized into ChargeSearchVisits after BestK returns (§5's search cost already prices matrix-entry touches)
-			val := func(e kcm.Entry) int {
-				if banned.Has(e.CubeID) {
-					return 0
-				}
-				return st.Value(w, e.CubeID, e.Weight)
-			}
-			// current values a cube as this worker sees it now, for
-			// the zero-cost gain; unlike val it does not zero banned
-			// cubes.
-			//repolint:allow vtimecharge -- read-only revalidation on the claim path; its lock cost is modeled by the ChargeLock immediately before st.Claim
-			current := func(e kcm.Entry) int { return st.Value(w, e.CubeID, e.Weight) }
-			// memo replays the root columns whose values no write
-			// has touched since this worker's last search. Before
-			// each search the worker invalidates the cubes the
-			// state table logged as changed since then (seen is its
-			// cursor into the log), and every cube it bans. A peer
-			// may still write during the search, so the search
-			// reads possibly stale values, as a live search does;
-			// Claim settles conflicts.
-			memo := &rect.Memo{}
+			// val values a cube as this worker sees it now: the
+			// search's reads and the zero-cost gain's.
+			//repolint:allow vtimecharge -- the search's per-entry reads are amortized into ChargeSearchVisits after BestK returns (§5's search cost already prices matrix-entry touches), and the zero-cost gain's are priced by the ChargeLock before st.Claim
+			val := func(e kcm.Entry) int { return st.Value(w, e.CubeID, e.Weight) }
+			// banned is this worker's Cover. Its set holds the cubes
+			// this worker lost a claim race for: excluding them from
+			// future searches guarantees progress when two workers
+			// speculate on overlapping rectangles (each failed claim
+			// shrinks the loser's search space; the winner divides
+			// the cubes). Its memo replays the root columns whose
+			// values no write has touched since this worker's last
+			// search: before each search the worker invalidates the
+			// cubes the state table logged as changed since then
+			// (seen is its cursor into the log). A peer may still
+			// write during the search, so the search reads possibly
+			// stale values, as a live search does; Claim settles
+			// conflicts.
+			banned := rect.NewCover(l)
 			seen := 0
 			//repolint:allow vtimecharge -- runs only in the invariants build's replay check, which the model does not price
-			memo.Quiet = func() bool { return !st.Pending(w, seen) }
-			batchK := opt.BatchK
-			if batchK < 1 {
-				batchK = 1
-			}
+			banned.Quiet = func() bool { return !st.Pending(w, seen) }
 		cover:
 			for {
 				// Workers never synchronize inside the cover, so
@@ -339,10 +326,10 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 					break
 				}
 				mc.ChargeLock(w)
-				seen = st.Changes(w, seen, memo.Invalidate)
+				seen = st.Changes(w, seen, banned.Invalidate)
 				var specIDs []int64
 				cfg := opt.Rect
-				cfg.Memo = memo
+				cfg.Cover = banned
 				cfg.OnBest = func(prev, next rect.Rect) {
 					// Release the previous incumbent's cubes
 					// (copy back truevals) and cover the new
@@ -356,7 +343,7 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 					st.Cover(w, ids, weights)
 					specIDs = ids
 				}
-				batch, stats := rect.BestK(l, cfg, val, batchK)
+				batch, stats := rect.BestK(l, cfg, val, opt.BatchK)
 				mc.ChargeSearchVisits(w, stats.Visits)
 				if len(batch) == 0 {
 					if specIDs != nil {
@@ -374,7 +361,7 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 					zc := make([]int, len(groups))
 					backs := make([][]sop.Cube, len(groups))
 					for gi, nr := range groups {
-						zc[gi], backs[gi] = extract.ZeroCostGain(l, nr, current)
+						zc[gi], backs[gi] = extract.ZeroCostGain(l, nr, val)
 						if opt.DisableZeroCostCheck {
 							zc[gi] = 1 // always re-expand (ablation)
 						}
@@ -399,8 +386,7 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 						// cubes locally and try the next
 						// candidate.
 						for _, id := range ids {
-							banned.Add(id)
-							memo.Invalidate(id)
+							banned.Mark(id)
 						}
 						continue
 					}

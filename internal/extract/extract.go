@@ -34,22 +34,11 @@ type Options struct {
 	Kernel kernels.Options
 	// Rect bounds the rectangle search.
 	Rect rect.Config
-	// MaxExtractions caps rectangles extracted in this call;
-	// 0 means until no profitable rectangle remains.
-	MaxExtractions int
 	// BatchK, when > 1, harvests up to BatchK cube-disjoint
 	// rectangles per search enumeration instead of one — the same
 	// greedy cover with the enumeration cost amortized. 0/1 is the
 	// faithful one-rectangle-per-search SIS behaviour.
 	BatchK int
-	// OnExtract, when non-nil, observes each accepted rectangle.
-	OnExtract func(kernel sop.Expr, r rect.Rect)
-	// Patcher, when non-nil, supplies the incremental matrix builder:
-	// the call reuses its cached per-node kernels and re-kernels only
-	// nodes marked dirty (by earlier calls on the same patcher). When
-	// nil, a call-local patcher is used — still the parallel proto
-	// build, but with no caching across calls.
-	Patcher *kcm.Patcher
 }
 
 // Work quantifies the computation an extraction performed. The
@@ -123,14 +112,17 @@ type Result struct {
 // promptly with Result.Cancelled set and the network function-
 // equivalent to its input (every completed extraction preserves it).
 func KernelExtract(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Options) Result {
+	return kernelExtract(ctx, nw, nodes, opt, kcm.NewPatcher(0, opt.Kernel))
+}
+
+// kernelExtract is KernelExtract building the matrix with pat: the
+// call reuses its cached per-node kernels, re-kernels only the nodes
+// marked dirty, and marks dirty the nodes its divisions rewrite.
+func kernelExtract(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Options, pat *kcm.Patcher) Result {
 	if nodes == nil {
 		nodes = nw.NodeVars()
 	}
 	var res Result
-	pat := opt.Patcher
-	if pat == nil {
-		pat = kcm.NewPatcher(0, opt.Kernel)
-	}
 	before := pat.Stats()
 	m := pat.Rebuild(ctx, nw, nodes, runtime.GOMAXPROCS(0))
 	res.Build = pat.Stats().Sub(before)
@@ -145,38 +137,23 @@ func KernelExtract(ctx context.Context, nw *network.Network, nodes []sop.Var, op
 	covered := rect.NewCover(m)
 	cfg := opt.Rect
 	cfg.Cover = covered
-	k := opt.BatchK
-	if k < 1 {
-		k = 1
-	}
-outer:
 	for {
 		if ctx.Err() != nil {
 			res.Cancelled = true
 			break
 		}
-		if opt.MaxExtractions > 0 && res.Extracted >= opt.MaxExtractions {
-			break
-		}
 		res.Iterations++
-		batch, stats := rect.BestK(m, cfg, nil, k)
+		batch, stats := rect.BestK(m, cfg, nil, opt.BatchK)
 		res.Work.SearchVisits += stats.Visits
 		if len(batch) == 0 {
 			break
 		}
 		for _, best := range batch {
-			if opt.MaxExtractions > 0 && res.Extracted >= opt.MaxExtractions {
-				break outer
-			}
-			kernel := KernelOf(m, best)
-			_, dirty, touched, changed := ApplyRect(nw, m, best, kernel, covered)
+			_, dirty, touched, changed := ApplyRect(nw, m, best, KernelOf(m, best), covered)
 			for _, dv := range dirty {
 				pat.MarkDirty(dv)
 			}
 			res.Work.DivisionCubes += touched
-			if changed && opt.OnExtract != nil {
-				opt.OnExtract(kernel, best)
-			}
 			if changed {
 				res.Extracted++
 				res.GainEstimate += best.Gain
@@ -191,15 +168,13 @@ outer:
 // accumulated result and the number of calls made. A cancelled ctx
 // ends the loop at the next call boundary with Cancelled set.
 //
-// Repeat owns one incremental Patcher across all its calls (unless the
-// caller supplied one): every call after the first re-kernels only the
-// nodes the previous call's divisions touched.
+// Repeat owns one incremental Patcher across all its calls: every
+// call after the first re-kernels only the nodes the previous call's
+// divisions touched.
 func Repeat(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Options) (Result, int) {
 	var total Result
 	calls := 0
-	if opt.Patcher == nil {
-		opt.Patcher = kcm.NewPatcher(0, opt.Kernel)
-	}
+	pat := kcm.NewPatcher(0, opt.Kernel)
 	active := nodes
 	if active == nil {
 		active = nw.NodeVars()
@@ -207,7 +182,7 @@ func Repeat(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Optio
 	for {
 		calls++
 		before := nw.NumNodes()
-		res := KernelExtract(ctx, nw, active, opt)
+		res := kernelExtract(ctx, nw, active, opt, pat)
 		total.Extracted += res.Extracted
 		total.Iterations += res.Iterations
 		total.GainEstimate += res.GainEstimate

@@ -34,21 +34,19 @@ func TestKernelExtractPaperNetwork(t *testing.T) {
 	}
 }
 
+// TestKernelExtractFirstKernelIsAB checks Example 1.1's first
+// extraction: the first node KernelExtract adds to the Eq. 1 network
+// is X = a + b. New nodes are appended in creation order, and a node
+// whose extraction changed nothing is removed again.
 func TestKernelExtractFirstKernelIsAB(t *testing.T) {
 	nw := network.PaperExample()
-	var first sop.Expr
-	seen := false
-	KernelExtract(context.Background(), nw, nil, Options{OnExtract: func(k sop.Expr, _ rectArg) {
-		if !seen {
-			first = k
-			seen = true
-		}
-	}})
-	if !seen {
-		t.Fatal("no extraction observed")
+	before := nw.NumNodes()
+	if res := KernelExtract(context.Background(), nw, nil, Options{}); res.Extracted == 0 {
+		t.Fatal("no extraction")
 	}
-	if first.Format(nw.Names.Fmt()) != "a + b" {
-		t.Fatalf("first kernel %s want a + b", first.Format(nw.Names.Fmt()))
+	first := nw.Node(nw.NodeVars()[before]).Fn
+	if got := first.Format(nw.Names.Fmt()); got != "a + b" {
+		t.Fatalf("first kernel %s want a + b", got)
 	}
 }
 
@@ -70,15 +68,22 @@ func TestRepeatReachesFixpoint(t *testing.T) {
 	_ = res
 }
 
-func TestKernelExtractMaxExtractions(t *testing.T) {
+// TestApplyRectFirstRectangle applies the best rectangle of the Eq. 1
+// network's matrix, Example 1.1's X = a + b: one extraction takes the
+// network from 33 to 25 literals.
+func TestApplyRectFirstRectangle(t *testing.T) {
 	nw := network.PaperExample()
-	res := KernelExtract(context.Background(), nw, nil, Options{MaxExtractions: 1})
-	if res.Extracted != 1 {
-		t.Fatalf("extracted = %d want 1", res.Extracted)
+	if got := nw.Literals(); got != 33 {
+		t.Fatalf("initial LC = %d want 33", got)
 	}
-	// One extraction of a+b: 33 - 8 = 25 literals.
-	if nw.Literals() != 25 {
-		t.Fatalf("LC after one extraction = %d want 25", nw.Literals())
+	m := kcm.Build(context.Background(), nw, nw.NodeVars(), kernels.Options{})
+	covered := rect.NewCover(m)
+	best, _ := rect.Best(m, rect.Config{Cover: covered}, nil)
+	if _, _, _, changed := ApplyRect(nw, m, best, KernelOf(m, best), covered); !changed {
+		t.Fatal("the first rectangle changed no function")
+	}
+	if got := nw.Literals(); got != 25 {
+		t.Fatalf("LC after one extraction = %d want 25", got)
 	}
 }
 
@@ -286,6 +291,3 @@ func randomNetwork(r *rand.Rand) *network.Network {
 	}
 	return nw
 }
-
-// rectArg aliases rect.Rect for the OnExtract signature.
-type rectArg = rect.Rect

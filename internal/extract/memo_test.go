@@ -15,8 +15,7 @@ import (
 // under the service's default search options. At every greedy step it
 // checks the batch and Stats from the call's long-lived Cover, whose
 // root memo replays the subtrees no Mark has touched, against a full
-// search through a fresh Cover over the same covered set: a fresh
-// Cover starts with an empty memo.
+// search under the covered set's Valuer with no Cover, so no memo.
 func TestRootMemoMatchesFullSearch(t *testing.T) {
 	ctx := context.Background()
 	opt := Options{Rect: rect.Config{MaxCols: 5, MaxVisits: 100000}, BatchK: 16}
@@ -37,9 +36,7 @@ func TestRootMemoMatchesFullSearch(t *testing.T) {
 			extracted := 0
 			for {
 				batch, stats := rect.BestK(m, cfg, nil, opt.BatchK)
-				full := opt.Rect
-				full.Cover = rect.NewCoverShared(m, covered.Set())
-				want, wantStats := rect.BestK(m, full, nil, opt.BatchK)
+				want, wantStats := rect.BestK(m, opt.Rect, covered.Valuer(), opt.BatchK)
 				if !reflect.DeepEqual(batch, want) || stats != wantStats {
 					t.Fatalf("%s step %d: memoized search %+v %+v, full search %+v %+v",
 						name, steps, batch, stats, want, wantStats)

@@ -64,8 +64,9 @@ func BuildMatrices(nw *network.Network, parts [][]sop.Var, opts kernels.Options)
 // matrices processed sequentially in processor order — the Table 4
 // experiment ("L-shaped partitioning on a single processor"): build
 // per-partition matrices, distribute cube ownership, exchange the
-// B_ij blocks, then greedily cover each L-shaped matrix with a
-// covered-cube set shared across all of them.
+// B_ij blocks, then greedily cover each L-shaped matrix in turn
+// through one Cover, so a cube covered in one is worth nothing in the
+// next.
 func ExtractCall(nw *network.Network, parts [][]sop.Var, opt Options) CallResult {
 	res := CallResult{
 		PerProc:  make([]extract.Work, len(parts)),
@@ -79,35 +80,27 @@ func ExtractCall(nw *network.Network, parts [][]sop.Var, opt Options) CallResult
 	own := Distribute(mats)
 	ls, exch := Assemble(mats, own)
 	res.Exchange = exch
-	var maxCube int64
+	// The Cover's set is sized for the largest cube id of any
+	// L-matrix; its memo rebinds to each matrix in turn.
+	widest := kcm.NewMatrix()
 	for _, l := range ls {
-		if id := l.MaxCubeID(); id > maxCube {
-			maxCube = id
+		if l.MaxCubeID() > widest.MaxCubeID() {
+			widest = l
 		}
 	}
-	// One covered-cube set shared across every L-matrix; each matrix
-	// gets its own Cover binding (per-matrix column-value cache).
-	set := rect.NewCubeSet(maxCube)
-	covers := make([]*rect.Cover, len(ls))
+	cover := rect.NewCover(widest)
+	cfg := opt.Rect
+	cfg.Cover = cover
 	for p, l := range ls {
-		covers[p] = rect.NewCoverShared(l, set)
-	}
-	k := opt.BatchK
-	if k < 1 {
-		k = 1
-	}
-	for p, l := range ls {
-		cfg := opt.Rect
-		cfg.Cover = covers[p]
 		for {
-			batch, stats := rect.BestK(l, cfg, nil, k)
+			batch, stats := rect.BestK(l, cfg, nil, opt.BatchK)
 			res.PerProc[p].SearchVisits += stats.Visits
 			if len(batch) == 0 {
 				break
 			}
 			for _, best := range batch {
 				kernel := extract.KernelOf(l, best)
-				v, _, touched, changed := extract.ApplyRect(nw, l, best, kernel, covers[p])
+				v, _, touched, changed := extract.ApplyRect(nw, l, best, kernel, cover)
 				res.PerProc[p].DivisionCubes += touched
 				if changed {
 					res.Extracted++

@@ -7,30 +7,19 @@ import (
 	"repro/internal/kcm"
 )
 
-// Memo memoizes each root column's complete subtree result across
-// searches of one matrix under one valuer: its ranked candidates, and
-// the visits and evals the enumeration took. A search through a Memo
-// (Config.Memo, or a Cover's own) replays a root's entry while it is
-// fresh, adding its visits and evals as if searched, so Stats stay the
-// logical count of a full enumeration; it searches the other roots
-// live and records them.
+// memo memoizes each root column's complete subtree result across
+// searches of one matrix through a Cover: its ranked candidates, and
+// the visits and evals the enumeration took. A search replays a root's
+// entry while it is fresh, adding its visits and evals as if searched,
+// so Stats stay the logical count of a full enumeration; it searches
+// the other roots live and records them.
 //
 // An entry depends on the values of the matrix entries its subtree can
-// read, and the valuer's value of an entry may depend only on the
-// entry. The caller delivers every change to a cube's value through
-// Invalidate before the next search. A new index snapshot of the
-// matrix, or a search with another MaxCols, drops every entry.
-//
-// A Memo is not safe for concurrent use, and must not be invalidated
-// while a search through it runs.
-type Memo struct {
-	// Quiet, when non-nil, reports whether every change to the
-	// valuer's values has been delivered through Invalidate. A valuer
-	// that reads state other goroutines write sets it: the invariants
-	// build re-searches each replayed root live, and a mismatch
-	// proves a missed Invalidate only while Quiet holds.
-	Quiet func() bool
-
+// read, and a value may depend only on the entry. Every change to a
+// cube's value reaches invalidate before the next search (Cover.Mark,
+// Cover.Invalidate). A new index snapshot of the matrix, or a search
+// with another MaxCols, drops every entry.
+type memo struct {
 	ix    *kcm.Index
 	roots []rootMemo
 	// fresh marks the roots whose entry is still exact; maxCols is the
@@ -49,26 +38,14 @@ type rootMemo struct {
 	cap           int
 }
 
-// Invalidate drops the entries a change to cube id's value can make
-// stale. For each matrix entry carrying the cube, at dense row r and
-// position k, those are the roots RowRefs[r][:k+1]: exactly the roots
-// c0 <= the entry's column whose row set contains r, the only subtrees
-// whose rectangles, candidate values or dominance prunes read the
-// entry.
-func (mm *Memo) Invalidate(id int64) { mm.invalidate(id, nil) }
-
-// invalidate is Invalidate that also clears, in cols when non-nil, the
-// dense column of each entry carrying id.
-func (mm *Memo) invalidate(id int64, cols bitset.Set) {
+// invalidate drops the entries a change to cube id's value can make
+// stale (see Cover.Invalidate).
+func (mm *memo) invalidate(id int64) {
 	if mm.ix == nil {
 		return
 	}
 	for _, ref := range mm.cubes.entries(id) {
-		refs := mm.ix.RowRefs[ref.row][:ref.k+1]
-		if cols != nil {
-			cols.Clear(int(refs[ref.k]))
-		}
-		for _, dc := range refs {
+		for _, dc := range mm.ix.RowRefs[ref.row][:ref.k+1] {
 			mm.fresh.Clear(int(dc))
 		}
 	}
@@ -77,7 +54,7 @@ func (mm *Memo) invalidate(id int64, cols bitset.Set) {
 // beginSearch binds the memo to index snapshot ix for a search whose
 // subtree shape is set by cfg's MaxCols; entries recorded against
 // another snapshot or depth are dropped.
-func (mm *Memo) beginSearch(ix *kcm.Index, cfg Config) {
+func (mm *memo) beginSearch(ix *kcm.Index, cfg Config) {
 	if mm.ix != ix {
 		mm.rebuild(ix)
 	}
@@ -89,7 +66,7 @@ func (mm *Memo) beginSearch(ix *kcm.Index, cfg Config) {
 
 // memoized returns root dc's entry when it is fresh and holds at least
 // listCap candidates' worth of ranking, else nil.
-func (mm *Memo) memoized(dc, listCap int) *rootMemo {
+func (mm *memo) memoized(dc, listCap int) *rootMemo {
 	if !mm.fresh.Test(dc) || mm.roots[dc].cap < listCap {
 		return nil
 	}
@@ -98,7 +75,7 @@ func (mm *Memo) memoized(dc, listCap int) *rootMemo {
 
 // store records root dc's complete subtree result, copying cands to
 // exact size, and marks the entry fresh.
-func (mm *Memo) store(dc int, cands []Rect, visits, evals, listCap int) {
+func (mm *memo) store(dc int, cands []Rect, visits, evals, listCap int) {
 	mm.put(dc, cands, visits, evals, listCap)
 	mm.fresh.Set(dc)
 }
@@ -107,7 +84,7 @@ func (mm *Memo) store(dc int, cands []Rect, visits, evals, listCap int) {
 // marking it fresh. Presearch workers call it concurrently, each only
 // for the roots it took; the caller marks the entries fresh after they
 // have all finished.
-func (mm *Memo) put(dc int, cands []Rect, visits, evals, listCap int) {
+func (mm *memo) put(dc int, cands []Rect, visits, evals, listCap int) {
 	e := &mm.roots[dc]
 	e.cands = nil
 	if len(cands) > 0 {
@@ -118,7 +95,7 @@ func (mm *Memo) put(dc int, cands []Rect, visits, evals, listCap int) {
 }
 
 // rebuild re-targets the memo at a new index snapshot, empty.
-func (mm *Memo) rebuild(ix *kcm.Index) {
+func (mm *memo) rebuild(ix *kcm.Index) {
 	nc := len(ix.ColIDs)
 	mm.ix = ix
 	mm.roots = make([]rootMemo, nc)

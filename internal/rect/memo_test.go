@@ -9,12 +9,13 @@ import (
 	"repro/internal/kcm"
 )
 
-// TestPropertyMemoMatchesReference drives one long-lived Memo through
+// TestPropertyMemoMatchesReference drives one long-lived Cover through
 // a scripted sequence of writes to a map-backed valuer, as the
 // L-shaped workers drive theirs from the state table: each step writes
-// a few cube values and delivers every write through Invalidate, then
-// searches with k = 1 and 4. Every search must equal the reference
-// searcher's under the same valuer, Stats included, and its OnBest
+// a few cube values and delivers every write through Invalidate, bans
+// a cube through Mark now and then, and searches with k = 1 and 4.
+// Every search must equal the reference searcher's under the same
+// values with no Cover, Stats included, and its OnBest
 // calls must form a strictly improving chain from the empty rectangle
 // to the returned best, which they do only if replayed roots report
 // their winners and the invariants build's re-search reports nothing.
@@ -33,36 +34,48 @@ func TestPropertyMemoMatchesReference(t *testing.T) {
 			}
 			return e.Weight
 		}
+		banned := map[int64]bool{}
+		refVal := func(e kcm.Entry) int {
+			if banned[e.CubeID] {
+				return 0
+			}
+			return val(e)
+		}
 		weight := map[int64]int{}
 		for _, r := range m.Rows() {
 			for _, e := range r.Entries {
 				weight[e.CubeID] = e.Weight
 			}
 		}
-		memo := &Memo{}
+		cover := NewCover(m)
 		for step := 0; step < 24; step++ {
 			for n := rng.Intn(4); n > 0; n-- {
 				id := ids[rng.Intn(len(ids))]
 				// Covered, free, or a partial value, as a trueval
 				// that differs from the weight would read.
 				vals[id] = []int{0, weight[id], rng.Intn(weight[id] + 1)}[rng.Intn(3)]
-				memo.Invalidate(id)
+				cover.Invalidate(id)
+			}
+			if rng.Intn(4) == 0 {
+				id := ids[rng.Intn(len(ids))]
+				banned[id] = true
+				cover.Mark(id)
 			}
 			ref := Config{}
 			if step%2 == 1 {
-				_, full := ReferenceBest(m, ref, val)
+				_, full := ReferenceBest(m, ref, refVal)
 				ref.MaxVisits = max(full.Visits/2, 1)
 			}
 			for _, k := range []int{1, 4} {
-				if memo.ix != nil && memo.fresh.Count() > 0 {
+				if cover.memo.ix != nil && cover.memo.fresh.Count() > 0 {
 					replayed++
 				}
 				var chain [][2]Rect
 				cfg := ref
-				cfg.Memo = memo
+				cfg.Cover = cover
 				cfg.OnBest = func(prev, next Rect) { chain = append(chain, [2]Rect{prev, next}) }
 				got, gotStats := BestK(m, cfg, val, k)
-				want, wantStats := ReferenceBestK(m, ref, val, k)
+				want, wantStats := ReferenceBestK(m, ref, refVal, k)
 				if !reflect.DeepEqual(got, want) || gotStats != wantStats {
 					t.Fatalf("seed %d step %d k=%d: got %+v %+v, want %+v %+v",
 						seed, step, k, got, gotStats, want, wantStats)
@@ -123,8 +136,8 @@ func relabelCubes(m *kcm.Matrix, shift int64) *kcm.Matrix {
 // and over its copy with cube ids moved from bands 0 and 1 to bands 5
 // and 6, as an L-matrix's are. The two Covers must return the same
 // searches, Stats included, and after every Mark leave the same root
-// memo entries and column values fresh; their cube indexes must have
-// the same size, set by the ids present, not by the largest id.
+// memo entries fresh; their cube indexes must have the same size, set
+// by the ids present, not by the largest id.
 func TestPropertyCoverHighBand(t *testing.T) {
 	const shift = 5 * kcm.Stride
 	for seed := int64(600); seed < 620; seed++ {
@@ -156,7 +169,6 @@ func TestPropertyCoverHighBand(t *testing.T) {
 					c0.Mark(id)
 					c5.Mark(id + shift)
 					sameFresh("fresh roots", c0.memo.fresh, c5.memo.fresh)
-					sameFresh("fresh column values", c0.colFresh, c5.colFresh)
 				}
 			}
 		}

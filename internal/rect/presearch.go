@@ -36,11 +36,11 @@ type presearchRoot struct {
 // left after the memoized visits before it; one that runs out is not
 // stored, and run's loop searches it live.
 //
-// Workers only read the CubeSet and the index, each with its own
-// scratch arena and Stats, and each writes only the memo slots of the
-// roots it took. The root values (the Cover's column-value cache) are
-// computed here, before the fan-out, and the freshness bits are set
-// after it.
+// Workers only read the Cover's set and the index, and call the
+// Valuer, each with its own scratch arena and Stats, and each writes
+// only the memo slots of the roots it took; a root whose value is zero
+// gets the empty entry run's loop would store. The freshness bits are
+// set after the fan-out.
 func (s *searcher) presearch(roots []int64) {
 	procs := runtime.GOMAXPROCS(0)
 	if procs < 2 {
@@ -57,9 +57,9 @@ func (s *searcher) presearch(roots []int64) {
 		if !ok || len(s.ix.Cols[dc].RowIDs) == 0 {
 			continue
 		}
-		if e := s.memo.memoized(dc, listCap); e != nil {
+		if e := s.cover.memo.memoized(dc, listCap); e != nil {
 			before += e.visits
-		} else if s.rootValue(dc) > 0 {
+		} else {
 			todo = append(todo, presearchRoot{dc: dc, before: before})
 		}
 	}
@@ -82,18 +82,17 @@ func (s *searcher) presearch(roots []int64) {
 			t := &todo[i]
 			w.stats = Stats{}
 			w.cfg.MaxVisits = s.cfg.MaxVisits - t.before
-			w.local = w.local[:0]
-			w.enumerate(t.dc)
+			w.searchRoot(t.dc)
 			spent.Add(int64(w.stats.Visits))
 			if !w.stats.Truncated {
-				s.memo.put(t.dc, w.local, w.stats.Visits, w.stats.Evals, listCap)
+				s.cover.memo.put(t.dc, w.local, w.stats.Visits, w.stats.Evals, listCap)
 				t.stored = true
 			}
 		}
 	})
 	for _, t := range todo {
 		if t.stored {
-			s.memo.fresh.Set(t.dc)
+			s.cover.memo.fresh.Set(t.dc)
 		}
 	}
 }

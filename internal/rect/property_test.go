@@ -117,8 +117,10 @@ func TestPropertyBestMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randMatrix(rng, seed%3 == 2)
 
-		// Uncovered, generic valuer.
-		checkAgree(t, "weight", m, Config{}, WeightValuer)
+		// Uncovered: the generic valuer, and a nil one, which values
+		// every entry at its weight.
+		checkAgreePaths(t, m, Config{}, WeightValuer,
+			searchPath{"weight", Config{}, WeightValuer}, searchPath{"nil", Config{}, nil})
 
 		// Random covered subset through the generic CoveredValuer.
 		covered := map[int64]bool{}
@@ -179,10 +181,10 @@ func truncRoot(m *kcm.Matrix, cfg Config, val Valuer) int {
 // cover loop — search, mark the batch's cubes, repeat — asserting that
 // Best and BestK through one long-lived Cover agree with the reference
 // searcher, Stats included, at every step. This exercises the Cover's
-// column-value cache and root memo across Marks. Each step runs Best,
-// then BestK with k = 1 and 4, so Best replays both its own top-1
-// entries and the longer lists BestK(4) recorded, and BestK(4) misses
-// on the top-1 entries. Three search shapes:
+// root memo across Marks. Each step runs Best, then BestK with k = 1
+// and 4, so Best replays both its own top-1 entries and the longer
+// lists BestK(4) recorded, and BestK(4) misses on the top-1 entries.
+// Three search shapes:
 //   - unbounded;
 //   - truncated: a visit budget of half the step's full enumeration,
 //     on every other step right after an unbounded search, so the
@@ -271,48 +273,76 @@ func TestPropertyGreedyCoverMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPropertySharedCubeSet checks that Covers of different matrices
-// sharing one CubeSet observe each other's marks (the L-shaped
-// configuration), including through their column-value caches and
-// root memos.
-func TestPropertySharedCubeSet(t *testing.T) {
+// TestPropertyCoverAcrossMatrices searches one Cover over two
+// matrices that share cubes, as lshape.ExtractCall searches its
+// L-matrices: m1 holds its own band-1 rows and a copy of m0's rows,
+// cube ids included. The greedy cover runs first on m0 to the end and
+// then on m1 (Table 4's order), and then alternately, so that the
+// memo rebinds on every search. Every step's Best and BestK(4) must
+// equal the reference searcher's under the cubes marked so far, Stats
+// included.
+func TestPropertyCoverAcrossMatrices(t *testing.T) {
+	crossed := 0
 	for seed := int64(200); seed < 210; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		b0 := kcm.NewBuilder(0, kernels.Options{})
-		b1 := kcm.NewBuilder(1, kernels.Options{})
-		for i := 0; i < 4; i++ {
-			b0.AddFunction(sop.Var(100+i), randExpr(rng, 8))
-			b1.AddFunction(sop.Var(200+i), randExpr(rng, 8))
-		}
-		m0, m1 := b0.Matrix(), b1.Matrix()
-		maxID := m0.MaxCubeID()
-		if id := m1.MaxCubeID(); id > maxID {
-			maxID = id
-		}
-		set := NewCubeSet(maxID)
-		c0, c1 := NewCoverShared(m0, set), NewCoverShared(m1, set)
-		refCovered := map[int64]bool{}
-
-		// Alternate searches over the two matrices, marking each
-		// winner's cubes alternately through both Covers, so a Cover
-		// also marks while a sibling's marks are still unseen.
-		mats := []*kcm.Matrix{m0, m1}
-		covs := []*Cover{c0, c1}
-		for round := 0; round < 8; round++ {
-			p := round % 2
-			got, gotStats := Best(mats[p], Config{Cover: covs[p]}, nil)
-			want, wantStats := ReferenceBest(mats[p], Config{}, CoveredValuer(refCovered))
-			if !reflect.DeepEqual(got, want) || gotStats != wantStats {
-				t.Fatalf("seed %d round %d: got %+v %+v, want %+v %+v", seed, round, got, gotStats, want, wantStats)
+		for _, alternate := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(seed))
+			b0 := kcm.NewBuilder(0, kernels.Options{})
+			b0copy := kcm.NewBuilder(0, kernels.Options{})
+			b1 := kcm.NewBuilder(1, kernels.Options{})
+			for i := 0; i < 4; i++ {
+				f := randExpr(rng, 8)
+				b0.AddFunction(sop.Var(100+i), f)
+				b0copy.AddFunction(sop.Var(100+i), f)
+				b1.AddFunction(sop.Var(200+i), randExpr(rng, 8))
 			}
-			if got.Rows == nil {
-				continue
+			m0, m1 := b0.Matrix(), b1.Matrix()
+			kcm.Merge(m1, b0copy.Matrix())
+			mats := []*kcm.Matrix{m0, m1}
+			holds := []map[int64]bool{{}, {}}
+			for p, m := range mats {
+				for _, id := range allCubeIDs(m) {
+					holds[p][id] = true
+				}
 			}
-			for i, id := range coveredCubeIDs(mats[p], got) {
-				covs[i%2].Mark(id)
-				refCovered[id] = true
+			cover := NewCover(m1)
+			refCovered := map[int64]bool{}
+			done := []bool{false, false}
+			for step := 0; !done[0] || !done[1]; step++ {
+				p := 0
+				if done[0] || (alternate && step%2 == 1 && !done[1]) {
+					p = 1
+				}
+				m := mats[p]
+				got, gotStats := Best(m, Config{Cover: cover}, nil)
+				want, wantStats := ReferenceBest(m, Config{}, CoveredValuer(refCovered))
+				if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+					t.Fatalf("seed %d alternate %v step %d m%d: Best = %+v %+v, want %+v %+v",
+						seed, alternate, step, p, got, gotStats, want, wantStats)
+				}
+				batch, batchStats := BestK(m, Config{Cover: cover}, nil, 4)
+				wantBatch, wantBatchStats := ReferenceBestK(m, Config{}, CoveredValuer(refCovered), 4)
+				if !reflect.DeepEqual(batch, wantBatch) || batchStats != wantBatchStats {
+					t.Fatalf("seed %d alternate %v step %d m%d: BestK(4) = %+v %+v, want %+v %+v",
+						seed, alternate, step, p, batch, batchStats, wantBatch, wantBatchStats)
+				}
+				if len(batch) == 0 {
+					done[p] = true
+					continue
+				}
+				for _, r := range batch {
+					for _, id := range coveredCubeIDs(m, r) {
+						cover.Mark(id)
+						refCovered[id] = true
+						if holds[1-p][id] {
+							crossed++
+						}
+					}
+				}
 			}
 		}
+	}
+	if crossed == 0 {
+		t.Fatal("want cubes marked on one matrix that the other holds")
 	}
 }
 

@@ -56,9 +56,11 @@ type Rect struct {
 }
 
 // Valuer returns the literal value a searching processor may claim
-// for the function cube behind an entry. The sequential algorithm
-// uses a Cover (dense covered-cube set); the L-shaped algorithm
-// consults the cube state machine (§5.3) through a custom Valuer.
+// for the function cube behind an entry. A nil Valuer values every
+// entry at its weight. A search through a Cover values the cubes in
+// its set at zero and asks the Valuer about the rest: the sequential
+// algorithm passes nil, and the L-shaped algorithm a Valuer that
+// consults the cube state machine (§5.3).
 type Valuer func(e kcm.Entry) int
 
 // WeightValuer values every cube at its literal count (nothing
@@ -96,23 +98,15 @@ type Config struct {
 	// algorithm uses it to speculatively cover the incumbent's
 	// cubes in the shared state table (§5.3).
 	OnBest func(prev, next Rect)
-	// Cover, when non-nil, values entries from its dense
-	// covered-cube set — an entry is worth its Weight unless its
-	// cube is covered — and supersedes the Valuer argument of
-	// Best/BestK (which may then be nil). This is the fast path of
-	// the greedy cover: membership is a bit test, and per-column
-	// claimable values and each root's subtree result (the Cover's
-	// own Memo, which supersedes Memo below) are cached inside the
-	// Cover. Without OnBest, a search through a Cover searches the
-	// roots it has no memo entry for on up to GOMAXPROCS goroutines,
-	// so the Cover (and any Cover sharing its set) must not be
-	// marked while a search runs.
+	// Cover, when non-nil, memoizes each root column's subtree
+	// result across searches (see Cover): an entry whose cube is in
+	// the Cover's set is worth zero, one bit test, and any other is
+	// valued by the Valuer argument of Best/BestK, or at its weight
+	// when that is nil. Without OnBest, a search through a Cover
+	// searches the roots it has no fresh memo entry for on up to
+	// GOMAXPROCS goroutines, which call the Valuer concurrently; the
+	// Cover must not be marked or invalidated while a search runs.
 	Cover *Cover
-	// Memo, when non-nil, memoizes each root's subtree result
-	// across searches of one matrix under the Valuer argument; the
-	// caller delivers every change to the valuer's values through
-	// Memo.Invalidate between searches (see Memo).
-	Memo *Memo
 }
 
 const (
@@ -137,8 +131,9 @@ type Stats struct {
 	Truncated bool
 }
 
-// Best returns the maximum-gain rectangle of m under val, or a
-// zero-gain Rect with nil Rows when no rectangle has positive gain.
+// Best returns the maximum-gain rectangle of m under val (and
+// cfg.Cover), or a zero-gain Rect with nil Rows when no rectangle has
+// positive gain.
 // Ties break deterministically (smallest column list, then smallest
 // row list), so any partition of root columns across workers
 // recombines to the same winner the sequential search finds.
@@ -169,9 +164,6 @@ type searcher struct {
 	cfg   Config
 	val   Valuer
 	cover *Cover
-	// memo is the root memo the search replays and records, if any:
-	// the Cover's own, or Config.Memo.
-	memo  *Memo
 	best  Rect
 	stats Stats
 	// top collects ranked candidates when BestK batching is in
@@ -189,10 +181,7 @@ type searcher struct {
 }
 
 func newSearcher(m *kcm.Matrix, cfg Config, val Valuer) *searcher {
-	s := &searcher{m: m, cfg: withDefaults(cfg), val: val, cover: cfg.Cover, memo: cfg.Memo}
-	if s.cover != nil {
-		s.memo = &s.cover.memo
-	}
+	s := &searcher{m: m, cfg: withDefaults(cfg), val: val, cover: cfg.Cover}
 	s.ix = m.Index()
 	s.sc = getScratch(len(s.ix.RowIDs), len(s.ix.ColIDs), int(s.ix.MaxCubeID)+1, s.cfg.MaxCols)
 	s.top, s.local = s.sc.top, s.sc.local
@@ -207,13 +196,14 @@ func (s *searcher) release() {
 	s.sc = nil
 }
 
-// value is the claimable value of one entry: the Cover fast path is a
-// bit test, everything else goes through the generic Valuer.
+// value is the claimable value of one entry: zero when its cube is in
+// the Cover's set, else the Valuer's value, or the weight when the
+// Valuer is nil.
 func (s *searcher) value(e kcm.Entry) int {
-	if s.cover != nil {
-		if s.cover.set.Has(e.CubeID) {
-			return 0
-		}
+	if s.cover != nil && s.cover.Has(e.CubeID) {
+		return 0
+	}
+	if s.val == nil {
 		return e.Weight
 	}
 	return s.val(e)
@@ -225,8 +215,8 @@ func (s *searcher) listCap() int { return max(s.topCap, 1) }
 
 // run enumerates the search tree from every permitted root column.
 //
-// With a memo, each root's complete subtree result is recorded and
-// replayed while no invalidation has touched it (see Memo): its visits
+// With a Cover, each root's complete subtree result is recorded and
+// replayed while no invalidation has touched it (see memo): its visits
 // and evals are added as if searched, so Stats stays the logical count
 // of a full enumeration, and its candidates merge into the ranking.
 // The root where the visit budget runs out is always searched live, so
@@ -243,13 +233,8 @@ func (s *searcher) run(leftmost []int64) {
 		sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
 	}
 	if s.cover != nil {
-		// Before the memo binds to ix: a new snapshot rebuilds the
-		// column values with the memo.
-		s.cover.sync(s.ix)
-	}
-	if s.memo != nil {
-		s.memo.beginSearch(s.ix, s.cfg)
-		if s.cover != nil && s.cfg.OnBest == nil {
+		s.cover.memo.beginSearch(s.ix, s.cfg)
+		if s.cfg.OnBest == nil {
 			s.presearch(roots)
 		}
 	}
@@ -258,8 +243,8 @@ func (s *searcher) run(leftmost []int64) {
 		if !ok || len(s.ix.Cols[dc].RowIDs) == 0 {
 			continue
 		}
-		if s.memo != nil {
-			if e := s.memo.memoized(dc, s.listCap()); e != nil && e.visits <= s.cfg.MaxVisits-s.stats.Visits {
+		if s.cover != nil {
+			if e := s.cover.memo.memoized(dc, s.listCap()); e != nil && e.visits <= s.cfg.MaxVisits-s.stats.Visits {
 				s.replay(dc, e)
 				continue
 			}
@@ -270,8 +255,8 @@ func (s *searcher) run(leftmost []int64) {
 		if s.stats.Truncated {
 			break
 		}
-		if s.memo != nil {
-			s.memo.store(dc, s.local, s.stats.Visits-visits, s.stats.Evals-evals, s.listCap())
+		if s.cover != nil {
+			s.cover.memo.store(dc, s.local, s.stats.Visits-visits, s.stats.Evals-evals, s.listCap())
 		}
 	}
 }
@@ -342,11 +327,11 @@ func (s *searcher) replay(dc int, e *rootMemo) {
 // checkReplay re-searches root dc live on a private searcher and
 // asserts the memo entry matches it: the invariants build's proof of
 // the invalidation rule. The re-search reports to no OnBest observer,
-// so it publishes no speculation, and when the memo's valuer reads
-// shared state (Memo.Quiet is set), a mismatch counts only if every
-// change has been delivered both before and after the re-search.
+// so it publishes no speculation, and when the Valuer reads shared
+// state (Cover.Quiet is set), a mismatch counts only if every change
+// has been delivered both before and after the re-search.
 func (s *searcher) checkReplay(dc int, e *rootMemo, cands []Rect) {
-	quiet := s.memo.Quiet
+	quiet := s.cover.Quiet
 	if quiet != nil && !quiet() {
 		return
 	}
@@ -366,18 +351,15 @@ func (s *searcher) checkReplay(dc int, e *rootMemo, cands []Rect) {
 }
 
 // rootValue sums the claimable values of a column's entries over its
-// full row set — cached inside the Cover on the fast path.
+// full row set.
 func (s *searcher) rootValue(dc int) int {
-	if s.cover != nil {
-		return s.cover.colValue(s.ix, dc)
-	}
 	total := 0
 	for wi, w := range s.ix.ColRows[dc] {
 		for w != 0 {
 			r := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
 			if k := s.ix.EntryAt(r, dc); k >= 0 {
-				total += s.val(s.ix.Rows[r].Entries[k])
+				total += s.value(s.ix.Rows[r].Entries[k])
 			}
 		}
 	}

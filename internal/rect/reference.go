@@ -81,13 +81,19 @@ func coveredCubeIDs(m *kcm.Matrix, r Rect) []int64 {
 	return ids
 }
 
-// refValuer resolves the effective valuer the same way the fast path
-// does: a Config.Cover takes precedence over the explicit argument.
+// refValuer composes the effective valuer the same way the searcher
+// does: a cube in cfg.Cover's set is worth zero; any other is valued
+// by val, or at its weight when val is nil.
 func refValuer(cfg Config, val Valuer) Valuer {
-	if cfg.Cover != nil {
-		return cfg.Cover.Valuer()
+	return func(e kcm.Entry) int {
+		if cfg.Cover != nil && cfg.Cover.Has(e.CubeID) {
+			return 0
+		}
+		if val == nil {
+			return e.Weight
+		}
+		return val(e)
 	}
-	return val
 }
 
 type refSearcher struct {
