@@ -362,29 +362,6 @@ func tablesKWay(nw *network.Network, p int) [][]sop.Var {
 
 func partitionOptions() partition.Options { return partition.Options{} }
 
-// BenchmarkAblationPartitioner compares recursive-bisection FM
-// against the direct multi-way (Sanchis-style) mover on partition
-// quality (cut metric) and speed.
-func BenchmarkAblationPartitioner(b *testing.B) {
-	nw := benchCircuit(b, "dalu")
-	g := partition.FromNetwork(nw, nil)
-	b.Run("recursive", func(b *testing.B) {
-		var cut int
-		for i := 0; i < b.N; i++ {
-			parts := partition.KWay(nw, nil, 6, partition.Options{})
-			cut = partition.KWayCut(nw, parts)
-		}
-		b.ReportMetric(float64(cut), "cut")
-	})
-	b.Run("direct", func(b *testing.B) {
-		var cut int
-		for i := 0; i < b.N; i++ {
-			_, cut = g.KWayDirect(6, partition.Options{})
-		}
-		b.ReportMetric(float64(cut), "cut")
-	})
-}
-
 // BenchmarkPowerWeightedCover benchmarks the low-power extension: the
 // activity-weighted rectangle cover of the conclusion.
 func BenchmarkPowerWeightedCover(b *testing.B) {

@@ -33,7 +33,7 @@ func main() {
 		format    = flag.String("format", "blif", "input/output format: blif or eqn")
 		bench     = flag.String("bench", "", "generate a named synthetic benchmark instead of reading a file")
 		algo      = flag.String("algo", "seq", "algorithm: seq, repl, part, lshape")
-		p         = flag.Int("p", 4, "virtual processors for parallel algorithms")
+		p         = flag.Int("p", 4, "virtual processors for parallel algorithms (1..64)")
 		out       = flag.String("o", "", "write the factored circuit here")
 		maxCols   = flag.Int("maxcols", 5, "rectangle search depth cap")
 		maxVisits = flag.Int("maxvisits", 100000, "rectangle search visit cap")
@@ -41,6 +41,10 @@ func main() {
 		baseline  = flag.Bool("baseline", true, "also run the sequential baseline for speedup")
 	)
 	flag.Parse()
+	if err := core.CheckProcs(*p); err != nil {
+		fmt.Fprintln(os.Stderr, "factor:", err)
+		os.Exit(1)
+	}
 
 	nw, err := load(*in, *format, *bench)
 	if err != nil {

@@ -2,9 +2,9 @@
 // project-specific analyzer suite — the package-local checks (index
 // invalidation, lock discipline, map iteration order, panic guarding,
 // vtime charging) and the whole-program checks (lock-order cycles,
-// context flow, fault-point coverage) — over the packages named on
-// the command line, defaulting to ./... — the same invocation CI uses
-// as a required job.
+// context flow, fault-point coverage, code no program reaches) — over
+// the packages named on the command line, defaulting to ./... — the
+// same invocation CI uses as a required job.
 //
 // It must be run from inside this module (dependency type-checking
 // resolves in-module imports through the go command):

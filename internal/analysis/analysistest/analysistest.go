@@ -11,6 +11,8 @@
 // //repolint:allow suppressions are applied before matching, exactly
 // as the repolint driver applies them, so suites can also prove the
 // escape hatch works.
+//
+//repolint:test-support
 package analysistest
 
 import (

@@ -12,6 +12,7 @@ import (
 	"repro/internal/analysis/analyzers/lockorder"
 	"repro/internal/analysis/analyzers/maporder"
 	"repro/internal/analysis/analyzers/panicguard"
+	"repro/internal/analysis/analyzers/testonly"
 	"repro/internal/analysis/analyzers/vtimecharge"
 )
 
@@ -29,12 +30,13 @@ func All() []*analysis.Analyzer {
 
 // Program returns the whole-program analyzer suite in deterministic
 // order. These need every loaded package at once: their invariants
-// (lock ordering, context threading, fault coverage) only exist
-// across call edges.
+// (lock ordering, context threading, fault coverage, reachability
+// from a program) only exist across call edges.
 func Program() []*analysis.ProgramAnalyzer {
 	return []*analysis.ProgramAnalyzer{
 		ctxflow.Analyzer,
 		faultpoint.Analyzer,
 		lockorder.Analyzer,
+		testonly.Analyzer,
 	}
 }

@@ -18,6 +18,9 @@ import (
 //	                                  methods must be vtime-charged
 //	//repolint:determinism-critical   in the package doc: no map
 //	                                  iteration without sorting
+//	//repolint:test-support           in the package doc: a harness
+//	                                  only tests import; testonly
+//	                                  skips it
 //	// guarded by <mu>                on a struct field: access only
 //	                                  under the sibling mutex <mu>
 //	//repolint:requires <mu>          on a method: callers hold <mu>

@@ -3,7 +3,8 @@
 // the interprocedural analyzers: lockorder walks it to learn which
 // locks a callee may acquire, ctxflow to learn whether a callee polls
 // cancellation, faultpoint to decide whether a Guard-spawned goroutine
-// can reach an injection point.
+// can reach an injection point, testonly to find the functions no
+// program reaches.
 //
 // Nodes are keyed by a stable string (package path + receiver + name)
 // rather than by *types.Func identity, because the loader type-checks
@@ -25,7 +26,9 @@
 // are not resolved. Analyzers must treat "no edge" as "unknown", not
 // "no call" — lockorder errs toward missing an edge (fewer false
 // cycles), faultpoint compensates by seeding reachability from the
-// spawned literal itself.
+// spawned literal itself, and testonly adds, on its own graph, an edge
+// from each function to the literals and function values its body
+// holds.
 package callgraph
 
 import (
@@ -104,14 +107,6 @@ func (n *Node) Body() *ast.BlockStmt {
 		return n.Decl.Body
 	}
 	return nil
-}
-
-// Name returns a human-readable name for diagnostics.
-func (n *Node) Name() string {
-	if n.Decl != nil {
-		return n.Decl.Name.Name
-	}
-	return "func literal"
 }
 
 // Graph is the whole-program call graph.

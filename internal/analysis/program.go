@@ -8,8 +8,8 @@ import (
 // Program is the whole loaded module view: every package the driver
 // loaded, sharing one FileSet. Package-local analyzers see one Package
 // at a time; interprocedural analyzers (lock ordering, context flow,
-// fault-point coverage) see the Program, because the properties they
-// check only exist across call edges.
+// fault-point coverage, reachability) see the Program, because the
+// properties they check only exist across call edges.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
@@ -25,30 +25,6 @@ func NewProgram(pkgs []*Package) *Program {
 		p.Fset = token.NewFileSet()
 	}
 	return p
-}
-
-// Package returns the loaded package with the given import path, or
-// nil.
-func (p *Program) Package(path string) *Package {
-	for _, pkg := range p.Pkgs {
-		if pkg.ImportPath == path {
-			return pkg
-		}
-	}
-	return nil
-}
-
-// PackageOf returns the loaded package containing pos, or nil.
-func (p *Program) PackageOf(pos token.Pos) *Package {
-	filename := p.Fset.Position(pos).Filename
-	for _, pkg := range p.Pkgs {
-		for _, f := range pkg.Files {
-			if p.Fset.Position(f.Pos()).Filename == filename {
-				return pkg
-			}
-		}
-	}
-	return nil
 }
 
 // ProgramAnalyzer is one whole-program static check.

@@ -2,8 +2,8 @@
 // words, the substrate of the rectangle-search fast path: row subsets,
 // candidate-column masks and covered-cube sets are all bitsets, so the
 // set operations that dominate the Figure 1 enumeration (intersection,
-// union, membership) compile to a handful of word instructions instead
-// of map traffic.
+// membership, counting) compile to a handful of word instructions
+// instead of map traffic.
 //
 // A Set is a plain slice; callers that need maximum speed may range
 // over its words directly and extract bit positions with
@@ -50,16 +50,6 @@ func (s Set) Count() int {
 	return n
 }
 
-// Any reports whether any bit is set.
-func (s Set) Any() bool {
-	for _, w := range s {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Copy overwrites s with src. The sets must have equal width.
 func (s Set) Copy(src Set) { copy(s, src) }
 
@@ -69,74 +59,4 @@ func (s Set) And(a, b Set) {
 	for i := range s {
 		s[i] = a[i] & b[i]
 	}
-}
-
-// AndCount returns |s ∧ b| without materializing the intersection.
-func (s Set) AndCount(b Set) int {
-	n := 0
-	for i, w := range s {
-		n += bits.OnesCount64(w & b[i])
-	}
-	return n
-}
-
-// Or folds b into s (s |= b). The sets must have equal width.
-func (s Set) Or(b Set) {
-	for i := range s {
-		s[i] |= b[i]
-	}
-}
-
-// AndNot removes b's bits from s (s &^= b).
-func (s Set) AndNot(b Set) {
-	for i := range s {
-		s[i] &^= b[i]
-	}
-}
-
-// NextSet returns the position of the first set bit at or after i, or
-// -1 when none remains.
-func (s Set) NextSet(i int) int {
-	if i >= s.Cap() {
-		return -1
-	}
-	wi := i >> 6
-	w := s[wi] >> (uint(i) & 63) << (uint(i) & 63)
-	for {
-		if w != 0 {
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-		wi++
-		if wi >= len(s) {
-			return -1
-		}
-		w = s[wi]
-	}
-}
-
-// ForEach calls fn on every set bit in ascending order until fn
-// returns false.
-func (s Set) ForEach(fn func(i int) bool) {
-	for wi, w := range s {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			if !fn(wi<<6 + b) {
-				return
-			}
-		}
-	}
-}
-
-// Iterate appends the positions of all set bits to dst in ascending
-// order and returns the extended slice.
-func (s Set) Iterate(dst []int) []int {
-	for wi, w := range s {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			dst = append(dst, wi<<6+b)
-		}
-	}
-	return dst
 }

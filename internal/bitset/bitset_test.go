@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -27,8 +28,8 @@ func TestSetClearTest(t *testing.T) {
 		t.Fatal("Clear failed")
 	}
 	s.Reset()
-	if s.Any() {
-		t.Fatal("Any after Reset")
+	if s.Count() != 0 {
+		t.Fatal("bits set after Reset")
 	}
 }
 
@@ -50,29 +51,10 @@ func TestAndOrAgainstMap(t *testing.T) {
 		}
 		and := New(n)
 		and.And(a, b)
-		or := New(n)
-		or.Copy(a)
-		or.Or(b)
-		diff := New(n)
-		diff.Copy(a)
-		diff.AndNot(b)
-		wantAnd := 0
 		for i := 0; i < n; i++ {
 			if and.Test(i) != (am[i] && bm[i]) {
 				t.Fatalf("and bit %d wrong", i)
 			}
-			if or.Test(i) != (am[i] || bm[i]) {
-				t.Fatalf("or bit %d wrong", i)
-			}
-			if diff.Test(i) != (am[i] && !bm[i]) {
-				t.Fatalf("andnot bit %d wrong", i)
-			}
-			if am[i] && bm[i] {
-				wantAnd++
-			}
-		}
-		if got := a.AndCount(b); got != wantAnd {
-			t.Fatalf("AndCount = %d want %d", got, wantAnd)
 		}
 	}
 }
@@ -136,7 +118,7 @@ func TestPoolReuse(t *testing.T) {
 	s.Set(5)
 	p.Put(s)
 	s2 := p.Get(64)
-	if s2.Any() {
+	if s2.Count() != 0 {
 		t.Fatal("pooled set not zeroed")
 	}
 	if s2.Cap() < 64 {
@@ -146,4 +128,51 @@ func TestPoolReuse(t *testing.T) {
 	if big.Cap() < 10000 {
 		t.Fatalf("cap %d < 10000", big.Cap())
 	}
+}
+
+// NextSet returns the position of the first set bit at or after i, or
+// -1 when none remains.
+func (s Set) NextSet(i int) int {
+	if i >= s.Cap() {
+		return -1
+	}
+	wi := i >> 6
+	w := s[wi] >> (uint(i) & 63) << (uint(i) & 63)
+	for {
+		if w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w)
+		}
+		wi++
+		if wi >= len(s) {
+			return -1
+		}
+		w = s[wi]
+	}
+}
+
+// ForEach calls fn on every set bit in ascending order until fn
+// returns false.
+func (s Set) ForEach(fn func(i int) bool) {
+	for wi, w := range s {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			w &= w - 1
+			if !fn(wi<<6 + b) {
+				return
+			}
+		}
+	}
+}
+
+// Iterate appends the positions of all set bits to dst in ascending
+// order and returns the extended slice.
+func (s Set) Iterate(dst []int) []int {
+	for wi, w := range s {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			w &= w - 1
+			dst = append(dst, wi<<6+b)
+		}
+	}
+	return dst
 }

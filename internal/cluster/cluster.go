@@ -156,9 +156,6 @@ func New(ctx context.Context, cfg Config, srv *service.Server) *Node {
 	return n
 }
 
-// Clock exposes the node's hybrid logical clock (tests).
-func (n *Node) Clock() *hlc.Clock { return n.clock }
-
 // Start joins through the configured seeds and launches the heartbeat
 // and replication loops.
 func (n *Node) Start() {

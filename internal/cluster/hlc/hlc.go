@@ -24,11 +24,6 @@ type Timestamp struct {
 	Node    string `json:"node,omitempty"`
 }
 
-// IsZero reports whether t is the zero timestamp (unstamped entry).
-func (t Timestamp) IsZero() bool {
-	return t.Wall == 0 && t.Logical == 0 && t.Node == ""
-}
-
 // Compare orders timestamps: -1 when t < o, 0 when equal, +1 when
 // t > o. Wall dominates, then Logical, then Node — a total order, so
 // two replicas applying the same set of writes converge to the same
@@ -81,15 +76,6 @@ type Clock struct {
 func New(node string) *Clock {
 	return &Clock{node: node, now: time.Now}
 }
-
-// NewWithTime returns a clock reading physical time from now — the
-// test seam for deterministic clock behaviour.
-func NewWithTime(node string, now func() time.Time) *Clock {
-	return &Clock{node: node, now: now}
-}
-
-// Node returns the clock's node id.
-func (c *Clock) Node() string { return c.node }
 
 // Now issues the next timestamp: physical time when it has advanced
 // past everything seen, otherwise the previous wall value with the

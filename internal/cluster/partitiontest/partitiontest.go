@@ -11,6 +11,8 @@
 // forwarding, replication) is client-initiated: a node that cannot
 // send to a peer also never answers that peer, so both sides see the
 // partition.
+//
+//repolint:test-support
 package partitiontest
 
 import (

@@ -31,7 +31,6 @@ type point struct {
 // Build a new one on every membership change; lookups are lock-free.
 type Ring struct {
 	points []point
-	vnodes int
 	nodes  []string
 }
 
@@ -60,7 +59,7 @@ func New(nodes []string, vnodes int) *Ring {
 		uniq = append(uniq, n)
 	}
 	sort.Strings(uniq)
-	r := &Ring{vnodes: vnodes, nodes: uniq}
+	r := &Ring{nodes: uniq}
 	r.points = make([]point, 0, len(uniq)*vnodes)
 	for _, n := range uniq {
 		for i := 0; i < vnodes; i++ {
@@ -85,9 +84,6 @@ func (r *Ring) Nodes() []string {
 	return out
 }
 
-// VNodes returns the virtual-node count per member.
-func (r *Ring) VNodes() int { return r.vnodes }
-
 // Owner returns the node owning key — the first virtual node at or
 // clockwise after the key's ring position — or "" on an empty ring.
 func (r *Ring) Owner(key string) string {
@@ -95,27 +91,6 @@ func (r *Ring) Owner(key string) string {
 		return ""
 	}
 	return r.points[r.successor(key)].node
-}
-
-// Owners returns up to n distinct nodes clockwise from key's position:
-// the owner followed by the natural replica successors. Used for
-// replica placement; with n >= the member count it returns every node.
-func (r *Ring) Owners(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	seen := map[string]bool{}
-	i := r.successor(key)
-	for len(out) < n && len(seen) < len(r.nodes) {
-		p := r.points[i%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-		i++
-	}
-	return out
 }
 
 // successor returns the index of the first point at or after key's

@@ -98,3 +98,24 @@ func TestEmptyAndSingleRing(t *testing.T) {
 		t.Fatalf("duplicate/empty ids not collapsed: %v", got)
 	}
 }
+
+// Owners returns up to n distinct nodes clockwise from key's position:
+// the owner followed by the natural replica successors. Used for
+// replica placement; with n >= the member count it returns every node.
+func (r *Ring) Owners(key string, n int) []string {
+	if len(r.points) == 0 || n <= 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	seen := map[string]bool{}
+	i := r.successor(key)
+	for len(out) < n && len(seen) < len(r.nodes) {
+		p := r.points[i%len(r.points)]
+		if !seen[p.node] {
+			seen[p.node] = true
+			out = append(out, p.node)
+		}
+		i++
+	}
+	return out
+}

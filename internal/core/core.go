@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/extract"
@@ -161,4 +162,18 @@ func Speedup(base, run RunResult) float64 {
 		return 0
 	}
 	return float64(base.VirtualTime) / float64(run.VirtualTime)
+}
+
+// MaxProcs caps the virtual processor count a user may ask of the
+// parallel drivers: factord's job spec, cmd/factor and the shell's gkx
+// all enforce it.
+const MaxProcs = 64
+
+// CheckProcs rejects a processor count outside 1..MaxProcs, before a
+// driver sizes its per-processor state from it.
+func CheckProcs(p int) error {
+	if p < 1 || p > MaxProcs {
+		return fmt.Errorf("p=%d is outside 1..%d", p, MaxProcs)
+	}
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/equiv"
 	"repro/internal/gen"
 	"repro/internal/network"
+	"repro/internal/rect"
 )
 
 func TestSequentialBaseline(t *testing.T) {
@@ -193,6 +194,34 @@ func TestLShapedExchangeCharges(t *testing.T) {
 				t.Errorf("%s p=%d: virtual time %d, %d barriers, DNF %v; want %d, 5, true",
 					name, p, res.VirtualTime, res.Barriers, res.DNF, want[name][i])
 			}
+		}
+	}
+}
+
+// TestLShapedP1Pinned pins core.LShaped at p = 1, where one worker
+// meets no claim races and the run is deterministic. Its search values
+// every divided cube through the worker's state-table valuer
+// (StateTable.Value), so a search that ignored the table would pick
+// other rectangles and read other figures. The figures were recorded
+// with tables.DefaultConfig()'s search options.
+func TestLShapedP1Pinned(t *testing.T) {
+	opt := Options{Rect: rect.Config{MaxCols: 5, MaxVisits: 100000}, BatchK: 16}
+	want := map[string]struct {
+		lc int
+		vt int64
+	}{
+		"misex3": {1187, 40643},
+		"dalu":   {2890, 119102},
+	}
+	for _, name := range []string{"misex3", "dalu"} {
+		nw, err := gen.Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := LShaped(context.Background(), nw, 1, opt)
+		if res.LC != want[name].lc || res.VirtualTime != want[name].vt {
+			t.Errorf("%s: LC %d, virtual time %d; want %d, %d",
+				name, res.LC, res.VirtualTime, want[name].lc, want[name].vt)
 		}
 	}
 }

@@ -290,3 +290,10 @@ func TestIntervalPolicySyncsEventually(t *testing.T) {
 	_, rec := mustOpen(t, dir, PolicyEvery(time.Hour))
 	wantRecords(t, rec.Journal, "a", "b")
 }
+
+// Gen returns the current journal generation (tests, logs).
+func (s *Store) Gen() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.gen
+}

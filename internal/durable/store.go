@@ -193,16 +193,6 @@ func openJournal(dir string, gen uint64) (*os.File, error) {
 	return f, nil
 }
 
-// Dir returns the store's data directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Gen returns the current journal generation (tests, logs).
-func (s *Store) Gen() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
-}
-
 // Append journals one record under the fsync policy. When it returns
 // nil the record will survive a process crash; under PolicyAlways it
 // also survives power loss.

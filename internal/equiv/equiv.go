@@ -82,6 +82,8 @@ func Check(a, b *network.Network, opt Options) error {
 // CheckSelf verifies that nw is equivalent to ref, where both share
 // the same Names table — the common case of comparing a factored
 // network against a pre-factorization clone.
+//
+//repolint:allow testonly -- e2ebench calls it; it is a separate module the loader does not see
 func CheckSelf(ref, factored *network.Network, opt Options) error {
 	return Check(ref, factored, opt)
 }

@@ -16,8 +16,8 @@ import (
 //  4. when no kernel helps, fall back to literal factoring: split on
 //     the most frequent literal.
 //
-// The result is always algebraically equivalent: Expand() returns the
-// original SOP (tested by property).
+// The result is always algebraically equivalent: expanding it gives
+// back the original SOP (a property test checks this).
 func Factor(f sop.Expr) *Form {
 	switch {
 	case f.IsZero():
@@ -110,15 +110,4 @@ func mostFrequentLit(f sop.Expr) (sop.Lit, int) {
 		}
 	}
 	return best, n
-}
-
-// NetworkLiterals returns the factored literal count of a whole set
-// of functions: the sum of factored literal counts. Synthesis flows
-// quote this as the final area estimate.
-func NetworkLiterals(fns []sop.Expr) int {
-	n := 0
-	for _, f := range fns {
-		n += Factor(f).Literals()
-	}
-	return n
 }

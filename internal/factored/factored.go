@@ -120,45 +120,6 @@ func (f *Form) Literals() int {
 	return n
 }
 
-// Depth returns the tree depth (leaves and constants are depth 1).
-func (f *Form) Depth() int {
-	if f.Kind == LeafKind || f.Kind == ZeroKind || f.Kind == OneKind {
-		return 1
-	}
-	d := 0
-	for _, a := range f.Args {
-		if ad := a.Depth(); ad > d {
-			d = ad
-		}
-	}
-	return d + 1
-}
-
-// Expand multiplies the form back out into a canonical SOP — the
-// correctness anchor: Factor(f).Expand() must equal f.
-func (f *Form) Expand() sop.Expr {
-	switch f.Kind {
-	case ZeroKind:
-		return sop.Zero()
-	case OneKind:
-		return sop.One()
-	case LeafKind:
-		return sop.NewExpr(sop.Cube{f.Lit})
-	case AndKind:
-		out := sop.One()
-		for _, a := range f.Args {
-			out = out.Mul(a.Expand())
-		}
-		return out
-	default: // OrKind
-		out := sop.Zero()
-		for _, a := range f.Args {
-			out = out.Add(a.Expand())
-		}
-		return out
-	}
-}
-
 // Format renders the form with the usual precedence (products bind
 // tighter than sums; sums are parenthesized inside products).
 func (f *Form) Format(name func(sop.Var) string) string {

@@ -241,3 +241,53 @@ func randExpr(r *rand.Rand) sop.Expr {
 	}
 	return e
 }
+
+// NetworkLiterals returns the factored literal count of a whole set
+// of functions: the sum of factored literal counts. Synthesis flows
+// quote this as the final area estimate.
+func NetworkLiterals(fns []sop.Expr) int {
+	n := 0
+	for _, f := range fns {
+		n += Factor(f).Literals()
+	}
+	return n
+}
+
+// Depth returns the tree depth (leaves and constants are depth 1).
+func (f *Form) Depth() int {
+	if f.Kind == LeafKind || f.Kind == ZeroKind || f.Kind == OneKind {
+		return 1
+	}
+	d := 0
+	for _, a := range f.Args {
+		if ad := a.Depth(); ad > d {
+			d = ad
+		}
+	}
+	return d + 1
+}
+
+// Expand multiplies the form back out into a canonical SOP — the
+// correctness anchor: Factor(f).Expand() must equal f.
+func (f *Form) Expand() sop.Expr {
+	switch f.Kind {
+	case ZeroKind:
+		return sop.Zero()
+	case OneKind:
+		return sop.One()
+	case LeafKind:
+		return sop.NewExpr(sop.Cube{f.Lit})
+	case AndKind:
+		out := sop.One()
+		for _, a := range f.Args {
+			out = out.Mul(a.Expand())
+		}
+		return out
+	default: // OrKind
+		out := sop.Zero()
+		for _, a := range f.Args {
+			out = out.Add(a.Expand())
+		}
+		return out
+	}
+}

@@ -176,6 +176,8 @@ const (
 // instead of hand-maintained lists, so adding a Point* constant (and
 // regenerating the registry with `repolint -write-faultpoints`)
 // automatically widens every matching matrix.
+//
+//repolint:allow testonly -- fault's registry test and core's faultinject chaos test iterate it
 func RegistryWithPrefix(prefix string) []string {
 	var out []string
 	for _, p := range Registry {

@@ -9,15 +9,23 @@ package fault
 const Enabled = false
 
 // Set is a no-op in the default build.
+//
+//repolint:allow testonly -- default-build stub of the chaos-test API; fault's inertness test and cluster's untagged fault tests call it
 func Set(Plan) {}
 
 // Reset is a no-op in the default build.
+//
+//repolint:allow testonly -- default-build stub of the chaos-test API; fault's inertness test and cluster's untagged fault tests call it
 func Reset() {}
 
 // Hits always reports zero in the default build.
+//
+//repolint:allow testonly -- default-build stub of the chaos-test API; fault's inertness test checks it stays zero
 func Hits(string) int { return 0 }
 
 // Fired always reports zero in the default build.
+//
+//repolint:allow testonly -- default-build stub of the chaos-test API; fault's inertness test and cluster's untagged fault tests call it
 func Fired(string) int { return 0 }
 
 // Inject is a no-op in the default build.

@@ -15,7 +15,7 @@ import (
 // one-node-at-a-time transcription of §2 and §5.2. No production path
 // uses them — every matrix is built by a Patcher — but tests compare
 // the Patcher against them and build multi-processor fixtures with
-// them, as rect.ReferenceBest is kept for the rectangle search.
+// them, so they stay under a testonly allow.
 type Builder struct {
 	m       *Matrix
 	rowSeq  int64
@@ -35,6 +35,8 @@ type Builder struct {
 // NewBuilder returns a builder whose labels start at proc·Stride+1.
 // proc 0 therefore labels from 1, proc 1 from 100001, matching the
 // paper's Example 5.1.
+//
+//repolint:allow testonly -- the reference construction: kcm's tests compare the Patcher against it, and rect's property and subtree tests build band fixtures with it
 func NewBuilder(proc int, opts kernels.Options) *Builder {
 	base := int64(proc) * Stride
 	return &Builder{
@@ -49,6 +51,8 @@ func NewBuilder(proc int, opts kernels.Options) *Builder {
 
 // AddNode generates the kernels of node v's function and adds one row
 // per (kernel, co-kernel) pair. It returns the number of rows added.
+//
+//repolint:allow testonly -- reference Builder API for kcm's tests
 func (b *Builder) AddNode(nw *network.Network, v sop.Var) int {
 	nd := nw.Node(v)
 	if nd == nil {
@@ -63,6 +67,8 @@ func (b *Builder) AddNode(nw *network.Network, v sop.Var) int {
 // Column row-lists are restored lazily: Matrix() re-sorts any column
 // that saw an out-of-order insertion, so a build over many nodes pays
 // for column sorting once at finalize instead of once per node.
+//
+//repolint:allow testonly -- reference Builder API for kcm's and rect's tests
 func (b *Builder) AddFunction(v sop.Var, fn sop.Expr) int {
 	b.pairs = b.kern.All(fn, b.opts, nil, nil, b.pairs[:0])
 	for _, p := range b.pairs {
@@ -112,6 +118,8 @@ func (b *Builder) cubeID(v sop.Var, fc sop.Cube) int64 {
 // Matrix returns the matrix built so far, with column row-lists
 // restored to sorted order. The builder may keep adding nodes
 // afterwards; the matrix is live.
+//
+//repolint:allow testonly -- reference Builder API for kcm's and rect's tests
 func (b *Builder) Matrix() *Matrix {
 	b.m.sortColRows()
 	return b.m
@@ -189,6 +197,8 @@ func (t *cubeTable) grow() {
 // regardless of merge order) and re-labeling src's entries
 // accordingly. Rows are assumed disjoint from dst's, as when each
 // processor's Builder kernels a disjoint node set.
+//
+//repolint:allow testonly -- the reference merge: kcm's tests compare multi-processor Patcher builds against it, and rect's tests merge band fixtures with it
 func Merge(dst, src *Matrix) {
 	remap := map[int64]int64{}
 	for _, sc := range src.cols {

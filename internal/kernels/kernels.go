@@ -308,30 +308,3 @@ func hashPair(ck sop.Cube, kernel sop.Expr) uint64 {
 func HashCube(c sop.Cube) uint64 {
 	return hashLits(fnvOffset, c)
 }
-
-// IsLevel0 reports whether k is a level-0 kernel: no literal appears
-// in two or more of its cubes, i.e. it has no kernels but itself.
-func IsLevel0(k sop.Expr) bool {
-	count := map[sop.Lit]int{}
-	for _, c := range k.Cubes() {
-		for _, l := range c {
-			count[l]++
-			if count[l] >= 2 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// KernelCubes returns the distinct cubes appearing across all kernels
-// in pairs, in a deterministic order. These are the columns of the
-// co-kernel cube matrix.
-func KernelCubes(pairs []Pair) []sop.Cube {
-	var out []sop.Cube
-	for _, p := range pairs {
-		out = append(out, p.Kernel.Cubes()...)
-	}
-	slices.SortFunc(out, sop.Cube.Compare)
-	return slices.CompactFunc(out, sop.Cube.Equal)
-}

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -249,4 +250,31 @@ func BenchmarkKernelsPaperF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		All(F, Options{})
 	}
+}
+
+// IsLevel0 reports whether k is a level-0 kernel: no literal appears
+// in two or more of its cubes, i.e. it has no kernels but itself.
+func IsLevel0(k sop.Expr) bool {
+	count := map[sop.Lit]int{}
+	for _, c := range k.Cubes() {
+		for _, l := range c {
+			count[l]++
+			if count[l] >= 2 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// KernelCubes returns the distinct cubes appearing across all kernels
+// in pairs, in a deterministic order. These are the columns of the
+// co-kernel cube matrix.
+func KernelCubes(pairs []Pair) []sop.Cube {
+	var out []sop.Cube
+	for _, p := range pairs {
+		out = append(out, p.Kernel.Cubes()...)
+	}
+	slices.SortFunc(out, sop.Cube.Compare)
+	return slices.CompactFunc(out, sop.Cube.Equal)
 }

@@ -145,9 +145,6 @@ func (nw *Network) RemoveNode(v sop.Var) {
 	}
 }
 
-// IsInput reports whether v is a primary input.
-func (nw *Network) IsInput(v sop.Var) bool { return nw.isInput[v] }
-
 // Inputs returns the primary inputs in declaration order (read-only).
 func (nw *Network) Inputs() []sop.Var { return nw.inputs }
 
@@ -174,15 +171,6 @@ func (nw *Network) Literals() int {
 		n += nw.nodes[v].Fn.Literals()
 	}
 	return n
-}
-
-// Fanins returns the variables node v's function reads.
-func (nw *Network) Fanins(v sop.Var) []sop.Var {
-	nd := nw.nodes[v]
-	if nd == nil {
-		return nil
-	}
-	return nd.Fn.Support()
 }
 
 // Fanouts returns, for every variable, the list of nodes whose

@@ -55,7 +55,7 @@ func TestFaninsFanouts(t *testing.T) {
 	names := nw.Names
 	F, _ := names.Lookup("F")
 	a, _ := names.Lookup("a")
-	fanins := nw.Fanins(F)
+	fanins := nw.Node(F).Fn.Support()
 	if len(fanins) != 7 {
 		t.Fatalf("F has %d fanins, want 7 (a..g)", len(fanins))
 	}

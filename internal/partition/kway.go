@@ -68,6 +68,8 @@ func kwayIdx(g *Graph, verts []int, k int, opt Options) [][]int {
 
 // KWayCut returns the total weight of edges crossing between
 // different parts of a k-way partition of nw's node graph.
+//
+//repolint:allow testonly -- the cut metric the tests of partition and gen measure partitions with
 func KWayCut(nw *network.Network, parts [][]sop.Var) int {
 	var nodes []sop.Var
 	where := map[sop.Var]int{}

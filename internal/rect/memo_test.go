@@ -134,10 +134,15 @@ func relabelCubes(m *kcm.Matrix, shift int64) *kcm.Matrix {
 
 // TestPropertyCoverHighBand runs the greedy cover loop over a matrix
 // and over its copy with cube ids moved from bands 0 and 1 to bands 5
-// and 6, as an L-matrix's are. The two Covers must return the same
-// searches, Stats included, and after every Mark leave the same root
-// memo entries fresh; their cube indexes must have the same size, set
-// by the ids present, not by the largest id.
+// and 6, as an L-matrix's are. Every round, BestK(4) must equal the
+// reference searcher under the cubes marked so far; the two Covers
+// must return the same searches, Stats included, and after every Mark
+// leave the same root memo entries fresh; their cube indexes must have
+// the same size, set by the ids present, not by the largest id. Each
+// non-empty round marks at least one cube not marked before, so the
+// loop may run at most one round per cube plus a final empty one; a
+// stale memo that keeps returning rectangles fails there instead of
+// looping.
 func TestPropertyCoverHighBand(t *testing.T) {
 	const shift = 5 * kcm.Stride
 	for seed := int64(600); seed < 620; seed++ {
@@ -145,14 +150,24 @@ func TestPropertyCoverHighBand(t *testing.T) {
 		m0 := randMatrix(rng, seed%2 == 1)
 		m5 := relabelCubes(m0, shift)
 		c0, c5 := NewCover(m0), NewCover(m5)
+		refCovered := map[int64]bool{}
 		sameFresh := func(what string, a, b bitset.Set) {
 			t.Helper()
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("seed %d: %s differ: band 0 %v, band 5 %v", seed, what, a, b)
 			}
 		}
+		maxRounds := len(allCubeIDs(m0)) + 1
 		for round := 0; ; round++ {
+			if round == maxRounds {
+				t.Fatalf("seed %d: the cover loop still finds rectangles after %d rounds, one more than the matrix has cubes",
+					seed, round)
+			}
 			got0, stats0 := BestK(m0, Config{Cover: c0}, nil, 4)
+			want, wantStats := ReferenceBestK(m0, Config{}, CoveredValuer(refCovered), 4)
+			if !reflect.DeepEqual(got0, want) || stats0 != wantStats {
+				t.Fatalf("seed %d round %d: band 0 %+v %+v, reference %+v %+v", seed, round, got0, stats0, want, wantStats)
+			}
 			got5, stats5 := BestK(m5, Config{Cover: c5}, nil, 4)
 			if !reflect.DeepEqual(got0, got5) || stats0 != stats5 {
 				t.Fatalf("seed %d round %d: band 0 %+v %+v, band 5 %+v %+v", seed, round, got0, stats0, got5, stats5)
@@ -168,6 +183,7 @@ func TestPropertyCoverHighBand(t *testing.T) {
 				for _, id := range coveredCubeIDs(m0, r) {
 					c0.Mark(id)
 					c5.Mark(id + shift)
+					refCovered[id] = true
 					sameFresh("fresh roots", c0.memo.fresh, c5.memo.fresh)
 				}
 			}

@@ -16,7 +16,7 @@
 // allocates nothing. Dense column order equals label order, which
 // keeps the enumeration — and therefore every tie-break and the §3
 // leftmost-column decomposition — bit-for-bit identical to the
-// retained reference implementation (see reference.go).
+// retained reference implementation (see reference_test.go).
 //
 // A node whose row set is a single row can never yield a rectangle,
 // since a kernel must be used at least twice, so the searcher counts
@@ -66,18 +66,6 @@ type Valuer func(e kcm.Entry) int
 // WeightValuer values every cube at its literal count (nothing
 // covered yet).
 func WeightValuer(e kcm.Entry) int { return e.Weight }
-
-// CoveredValuer values cubes at their weight unless their id is in
-// covered. Kept for tests and as the reference covered-set valuer;
-// hot paths use Cover, whose bitset the searcher tests directly.
-func CoveredValuer(covered map[int64]bool) Valuer {
-	return func(e kcm.Entry) int {
-		if covered[e.CubeID] {
-			return 0
-		}
-		return e.Weight
-	}
-}
 
 // Config bounds the branch-and-bound enumeration.
 type Config struct {

@@ -206,3 +206,15 @@ func TestCompareRectsOrdering(t *testing.T) {
 func mustExpr(nw *network.Network, s string) sop.Expr {
 	return sop.MustParseExpr(nw.Names, s)
 }
+
+// CoveredValuer values cubes at their weight unless their id is in
+// covered. Kept for tests and as the reference covered-set valuer;
+// hot paths use Cover, whose bitset the searcher tests directly.
+func CoveredValuer(covered map[int64]bool) Valuer {
+	return func(e kcm.Entry) int {
+		if covered[e.CubeID] {
+			return 0
+		}
+		return e.Weight
+	}
+}

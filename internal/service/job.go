@@ -104,8 +104,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("service: unknown algorithm %q (want %s)",
 			s.Algo, strings.Join(Algorithms(), "|"))
 	}
-	if s.P > 64 {
-		return fmt.Errorf("service: p=%d exceeds the 64-processor cap", s.P)
+	if s.P > core.MaxProcs {
+		return fmt.Errorf("service: p=%d exceeds the %d-processor cap", s.P, core.MaxProcs)
 	}
 	return nil
 }

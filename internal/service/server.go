@@ -201,6 +201,8 @@ func (s *Server) OpenDurable() (RecoveryStats, error) {
 }
 
 // Pool exposes the worker pool (tests install the OnJobRunning hook).
+//
+//repolint:allow testonly -- service's and cluster's tests install the OnJobRunning hook through it
 func (s *Server) Pool() *Pool { return s.pool }
 
 // Router exposes the routing half (the cluster layer installs its

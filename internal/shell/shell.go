@@ -44,9 +44,6 @@ func New(out io.Writer) *Shell {
 	}
 }
 
-// Network returns the current network (nil before any read).
-func (s *Shell) Network() *network.Network { return s.nw }
-
 // Run reads commands from r until EOF or "quit", executing each line.
 // Errors are reported to the shell's writer; only I/O failures on r
 // abort the loop.
@@ -289,6 +286,9 @@ func (s *Shell) gkx(args []string) error {
 		default:
 			return fmt.Errorf("unknown gkx flag %q", args[i])
 		}
+	}
+	if err := core.CheckProcs(p); err != nil {
+		return err
 	}
 	var res core.RunResult
 	switch algo {

@@ -58,6 +58,32 @@ func TestParallelGkx(t *testing.T) {
 	}
 }
 
+// TestGkxRejectsProcsOutOfRange checks that gkx refuses a processor
+// count outside 1..core.MaxProcs before any driver runs, leaving the
+// network as it was.
+func TestGkxRejectsProcsOutOfRange(t *testing.T) {
+	path := writeEq1(t)
+	s, _ := run(t, "read_blif "+path+"\n")
+	dump := func() string {
+		var b bytes.Buffer
+		if err := blif.Write(&b, s.Network()); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	before := dump()
+	for _, algo := range []string{"repl", "part", "lshape"} {
+		for _, p := range []string{"0", "-1", "65"} {
+			if _, err := s.Exec("gkx -algo " + algo + " -p " + p); err == nil {
+				t.Errorf("gkx -algo %s -p %s: no error", algo, p)
+			}
+			if got := dump(); got != before {
+				t.Fatalf("gkx -algo %s -p %s changed the network:\n%s", algo, p, got)
+			}
+		}
+	}
+}
+
 func TestBenchAndOps(t *testing.T) {
 	s, out := run(t, "bench misex3\nsweep\nsimplify\ncx\neliminate\nresub\nstats\n")
 	if !strings.Contains(out, "generated misex3") {
@@ -122,3 +148,6 @@ func TestHelpAndComments(t *testing.T) {
 		t.Fatalf("help output:\n%s", out)
 	}
 }
+
+// Network returns the current network (nil before any read).
+func (s *Shell) Network() *network.Network { return s.nw }

@@ -40,7 +40,6 @@ type Arena struct {
 	nextLits  int
 	nextCubes int
 
-	allocBytes int64
 	reuseBytes int64
 }
 
@@ -68,7 +67,6 @@ func (a *Arena) grabLits(n int) []Lit {
 			a.reuseBytes += int64(cap(a.lits)) * 4
 		} else {
 			a.lits = make([]Lit, 0, size)
-			a.allocBytes += int64(size) * 4
 		}
 	}
 	return a.lits[len(a.lits):len(a.lits)]
@@ -103,7 +101,6 @@ func (a *Arena) Cubes(n int) []Cube {
 			a.reuseBytes += int64(cap(a.cubes)) * 24
 		} else {
 			a.cubes = make([]Cube, 0, size)
-			a.allocBytes += int64(size) * 24
 		}
 	}
 	s := a.cubes[len(a.cubes) : len(a.cubes) : len(a.cubes)+n]
@@ -134,27 +131,6 @@ func (a *Arena) Reset() {
 	a.fullLits, a.fullCubes = a.fullLits[:0], a.fullCubes[:0]
 	a.lits, a.cubes = nil, nil
 }
-
-// Adopt moves every chunk of src into a's free lists, so src's storage
-// is recycled by future allocations from a. src is left Reset and
-// empty; all values handed out by src become invalid once a reuses
-// their chunks.
-func (a *Arena) Adopt(src *Arena) {
-	if src == nil || src == a {
-		return
-	}
-	src.Reset()
-	a.freeLits = append(a.freeLits, src.freeLits...)
-	a.freeCubes = append(a.freeCubes, src.freeCubes...)
-	a.allocBytes += src.allocBytes
-	a.reuseBytes += src.reuseBytes
-	src.freeLits, src.freeCubes = nil, nil
-	src.allocBytes, src.reuseBytes = 0, 0
-}
-
-// AllocatedBytes reports the total bytes of chunk storage ever
-// allocated from the heap by this arena.
-func (a *Arena) AllocatedBytes() int64 { return a.allocBytes }
 
 // ReusedBytes reports the total bytes served from recycled chunks
 // instead of fresh heap allocations.
@@ -216,88 +192,6 @@ func (c Cube) MinusArena(d Cube, a *Arena) Cube {
 	return out
 }
 
-// IntersectArena is Intersect allocating the result from the arena.
-func (c Cube) IntersectArena(d Cube, a *Arena) Cube {
-	if a == nil {
-		return c.Intersect(d)
-	}
-	n := len(c)
-	if len(d) < n {
-		n = len(d)
-	}
-	buf := a.grabLits(n)
-	out := buf[:0]
-	i, j := 0, 0
-	for i < len(c) && j < len(d) {
-		switch {
-		case c[i] == d[j]:
-			out = append(out, c[i])
-			i++
-			j++
-		case c[i] < d[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	a.commitLits(len(out))
-	return out
-}
-
-// DivCubeArena is DivCube with the quotient's cube slice and literal
-// storage drawn from the arena. The quotient's cubes alias arena
-// memory; the input is never mutated.
-func (f Expr) DivCubeArena(c Cube, a *Arena) Expr {
-	if a == nil {
-		return f.DivCube(c)
-	}
-	if c.IsUnit() {
-		return f
-	}
-	n := 0
-	for _, fc := range f.cubes {
-		if fc.Contains(c) {
-			n++
-		}
-	}
-	if n == 0 {
-		return Expr{}
-	}
-	cs := a.Cubes(n)
-	for _, fc := range f.cubes {
-		if fc.Contains(c) {
-			cs = append(cs, fc.MinusArena(c, a))
-		}
-	}
-	// Removing the same cube c from canonically ordered cubes can
-	// break the length-first order only between cubes of equal length,
-	// and can create duplicates; canonicalize in place.
-	return NewExprOwned(cs)
-}
-
-// DivCubeLooseArena is DivCubeArena in a single pass, reserving a cube
-// slot per cube of f up front instead of pre-counting the quotient.
-// Meant for scratch arenas, where the over-reservation is recycled; on
-// a long-lived arena prefer DivCubeArena's exact sizing.
-func (f Expr) DivCubeLooseArena(c Cube, a *Arena) Expr {
-	if a == nil {
-		return f.DivCube(c)
-	}
-	if c.IsUnit() {
-		return f
-	}
-	cs := a.Cubes(len(f.cubes))
-	for _, fc := range f.cubes {
-		if fc.Contains(c) {
-			cs = append(cs, fc.MinusArena(c, a))
-		}
-	}
-	if len(cs) == 0 {
-		return Expr{}
-	}
-	return NewExprOwned(cs)
-}
-
 // CloneCubeWithout copies c into arena storage dropping the single
 // literal l (which must be present in c).
 func (a *Arena) CloneCubeWithout(c Cube, l Lit) Cube {
@@ -328,7 +222,7 @@ func (f Expr) CloneArena(a *Arena) Expr {
 
 // DivCommonArena divides f by a cube every cube of f contains — the
 // common-cube case, where the quotient keeps all cubes and the
-// Contains filter of DivCubeArena is pure overhead.
+// Contains filter of DivCube is pure overhead.
 func (f Expr) DivCommonArena(c Cube, a *Arena) Expr {
 	if a == nil {
 		return f.DivCube(c)

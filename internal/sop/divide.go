@@ -66,28 +66,3 @@ func (f Expr) intersect(g Expr) Expr {
 	}
 	return Expr{cubes: cs}
 }
-
-// Substitute re-expresses f in terms of a new variable x whose
-// function is g: it returns q·x + r when g algebraically divides f
-// with a non-zero quotient, and f unchanged otherwise. The boolean
-// result reports whether a substitution happened.
-func (f Expr) Substitute(x Var, g Expr) (Expr, bool) {
-	q, r := f.Div(g)
-	if q.IsZero() {
-		return f, false
-	}
-	return q.MulCube(Cube{Pos(x)}).Add(r), true
-}
-
-// DividesEvenly reports whether c divides every cube of f.
-func (f Expr) DividesEvenly(c Cube) bool {
-	if len(f.cubes) == 0 {
-		return false
-	}
-	for _, fc := range f.cubes {
-		if !fc.Contains(c) {
-			return false
-		}
-	}
-	return true
-}

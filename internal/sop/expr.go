@@ -68,9 +68,6 @@ func (f Expr) IsZero() bool { return len(f.cubes) == 0 }
 // IsOne reports whether the expression is the constant 1.
 func (f Expr) IsOne() bool { return len(f.cubes) == 1 && f.cubes[0].IsUnit() }
 
-// IsCube reports whether the expression is a single cube.
-func (f Expr) IsCube() bool { return len(f.cubes) == 1 }
-
 // Literals returns the total number of literals in the expression,
 // the first-order area estimate used throughout the paper (LC).
 func (f Expr) Literals() int {
@@ -183,6 +180,8 @@ func (f Expr) CommonCube() Cube {
 
 // IsCubeFree reports whether no non-unit cube divides f evenly —
 // the precondition for f to be a kernel.
+//
+//repolint:allow testonly -- the kernel definition the tests of sop and kernels check generated kernels against
 func (f Expr) IsCubeFree() bool {
 	if len(f.cubes) <= 1 {
 		// A single cube divides itself; only the unit-cube
@@ -230,16 +229,6 @@ func (f Expr) HasVar(v Var) bool {
 	return false
 }
 
-// HasLit reports whether any cube of f contains the literal l.
-func (f Expr) HasLit(l Lit) bool {
-	for _, c := range f.cubes {
-		if c.Has(l) {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the expression with v<N> variable names.
 func (f Expr) String() string { return f.Format(nil) }
 
@@ -254,14 +243,4 @@ func (f Expr) Format(name func(Var) string) string {
 		parts[i] = c.Format(name)
 	}
 	return strings.Join(parts, " + ")
-}
-
-// Key returns a compact string usable as a map key for the canonical
-// expression.
-func (f Expr) Key() string {
-	parts := make([]string, len(f.cubes))
-	for i, c := range f.cubes {
-		parts[i] = c.Key()
-	}
-	return strings.Join(parts, "|")
 }

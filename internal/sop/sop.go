@@ -47,9 +47,6 @@ func (l Lit) Var() Var { return Var(l >> 1) }
 // IsNeg reports whether the literal is in complemented phase.
 func (l Lit) IsNeg() bool { return l&1 == 1 }
 
-// Opposite returns the literal of the same variable in the other phase.
-func (l Lit) Opposite() Lit { return l ^ 1 }
-
 // Cube is a product term: a sorted set of literals such that no
 // variable occurs in both phases. The zero value is the unit cube "1".
 type Cube []Lit
@@ -80,6 +77,8 @@ func NewCube(lits ...Lit) (Cube, bool) {
 
 // MustCube is NewCube that panics on a contradictory literal set.
 // It is intended for tests and literals known to be consistent.
+//
+//repolint:allow testonly -- cube literals for the tests of sop and power
 func MustCube(lits ...Lit) Cube {
 	c, ok := NewCube(lits...)
 	if !ok {
@@ -231,14 +230,6 @@ func (c Cube) Minus(d Cube) Cube {
 		out = append(out, l)
 	}
 	return out
-}
-
-// Vars appends the variables mentioned by the cube to dst.
-func (c Cube) Vars(dst []Var) []Var {
-	for _, l := range c {
-		dst = append(dst, l.Var())
-	}
-	return dst
 }
 
 // String renders the cube with variables named v<N>; use Format for

@@ -113,12 +113,6 @@ func NewMachine(p int, m Model) *Machine {
 	return mc
 }
 
-// P returns the number of modeled processors.
-func (mc *Machine) P() int { return len(mc.clocks) }
-
-// Model returns the machine's cost constants.
-func (mc *Machine) Model() Model { return mc.model }
-
 // Charge adds n abstract time units to worker w's clock.
 func (mc *Machine) Charge(w int, n int64) {
 	atomic.AddInt64(&mc.clocks[w], n)

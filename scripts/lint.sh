@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Single lint entrypoint for CI and developers: build everything,
-# fail on any file gofmt would rewrite, run go vet, then run the
-# repolint analyzer suite (package-local and whole-program) over the
-# tree. Finally regenerate the fault-point registry and fail if the
-# checked-in copy has drifted from the injection sites actually present
-# in the source.
+# fail on any file gofmt would rewrite, run go vet on the default,
+# faultinject and invariants builds, then run the repolint analyzer
+# suite (package-local and whole-program) over the tree. Finally
+# regenerate the fault-point registry and fail if the checked-in copy
+# has drifted from the injection sites actually present in the source.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,6 +21,10 @@ fi
 
 echo "== vet"
 go vet ./...
+# The tagged builds compile files the default build leaves out: the
+# fault-injection runtime and the invariant checks.
+go vet -tags faultinject ./...
+go vet -tags invariants ./...
 
 echo "== repolint"
 go run ./cmd/repolint ./...
