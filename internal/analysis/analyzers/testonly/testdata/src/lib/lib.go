@@ -1,16 +1,21 @@
 // Package lib exercises the testonly analyzer: an unreached function,
-// its helper and an unreached method are reported; an interface-named
-// method, a literal stored in a field, a function used as a value, an
-// init function, a package-level initializer and an allowed function
-// with its helper are not.
+// its helper and an unreached method are reported, and so are methods
+// that only share a name with an interface method; a method of a type
+// implementing an interface, a literal stored in a field, a function
+// used as a value, an init function, a package-level initializer and
+// an allowed function with its helper are not.
 package lib
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // Used is the entry point main calls.
 func Used() int {
 	f := double // a function used as a value, called later
-	return f(1) + len(table) + len(fmt.Sprint(T{}))
+	b, _ := json.Marshal(U{})
+	return f(1) + len(table) + len(fmt.Sprint(T{})) + len(b)
 }
 
 func double(x int) int { return 2 * x }
@@ -44,6 +49,16 @@ func (T) Close() error { return nil }
 
 // Dead is a method nothing calls.
 func (T) Dead() {} // want `lib\.\(T\)\.Dead is reached by no program`
+
+// U has a Close method, but not closer's, so U does not implement it.
+type U struct{}
+
+// Close shares only its name with closer's method.
+func (U) Close() {} // want `lib\.\(U\)\.Close is reached by no program`
+
+// IsZero satisfies only encoding/json's unexported isZeroer, which is
+// no interface the program can name.
+func (U) IsZero() bool { return true } // want `lib\.\(U\)\.IsZero is reached by no program`
 
 var table = map[string]func() int{"x": fromTable}
 

@@ -11,10 +11,10 @@
 //   - every function of a main package;
 //   - every init function and every package-level variable
 //     initializer;
-//   - every method whose name is a method of an interface type
-//     declared in the program or in a package it imports, because
-//     calls through interfaces are not call-graph edges (String,
-//     Error, ServeHTTP, RoundTrip).
+//   - every method whose receiver type, T or *T, implements an
+//     interface with the method (one written in the program, an
+//     exported top-level one of a package it imports, or error),
+//     because calls through interfaces are not call-graph edges.
 //
 // Reach follows the call graph plus two edges the analyzer adds to
 // its own copy, because the shared graph leaves them out on purpose:
@@ -54,7 +54,7 @@ type line struct {
 
 func run(pass *analysis.ProgramPass) error {
 	g := callgraph.Build(pass.Prog)
-	ifaceNames := interfaceMethodNames(pass.Prog)
+	ifaces := interfacesByMethod(pass.Prog)
 	allowed := map[line]bool{}
 	support := map[*analysis.Package]bool{}
 	var roots []callgraph.Key
@@ -81,7 +81,7 @@ func run(pass *analysis.ProgramPass) error {
 		p := n.Pkg.Fset.Position(n.Decl.Pos())
 		if allowed[line{p.Filename, p.Line}] ||
 			n.Decl.Recv == nil && n.Decl.Name.Name == "init" ||
-			n.Decl.Recv != nil && ifaceNames[n.Decl.Name.Name] {
+			n.Decl.Recv != nil && viaInterface(n, ifaces) {
 			roots = append(roots, k)
 		}
 	}
@@ -147,14 +147,16 @@ func initializerRefs(pkg *analysis.Package) []callgraph.Key {
 	return out
 }
 
-// interfaceMethodNames collects the method names of every interface
-// type written in the program's source, declared at the top level of
-// a package the program imports, or predeclared (error).
-func interfaceMethodNames(prog *analysis.Program) map[string]bool {
-	names := map[string]bool{}
+// interfacesByMethod collects, under each of their method names, the
+// interface types written in the program's source, the exported ones
+// declared at the top level of a package the program imports, and the
+// predeclared error.
+func interfacesByMethod(prog *analysis.Program) map[string][]*types.Interface {
+	byName := map[string][]*types.Interface{}
 	add := func(it *types.Interface) {
 		for i := 0; i < it.NumMethods(); i++ {
-			names[it.Method(i).Name()] = true
+			name := it.Method(i).Name()
+			byName[name] = append(byName[name], it)
 		}
 	}
 	add(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
@@ -172,7 +174,7 @@ func interfaceMethodNames(prog *analysis.Program) map[string]bool {
 		for _, imp := range pkg.Types.Imports() {
 			scope := imp.Scope()
 			for _, id := range scope.Names() {
-				if tn, ok := scope.Lookup(id).(*types.TypeName); ok {
+				if tn, ok := scope.Lookup(id).(*types.TypeName); ok && tn.Exported() {
 					if it, ok := tn.Type().Underlying().(*types.Interface); ok {
 						add(it)
 					}
@@ -180,5 +182,25 @@ func interfaceMethodNames(prog *analysis.Program) map[string]bool {
 			}
 		}
 	}
-	return names
+	return byName
+}
+
+// viaInterface reports whether method n may run through an interface:
+// whether its receiver type, T or *T, implements one of ifaces that
+// has a method of n's name.
+func viaInterface(n *callgraph.Node, ifaces map[string][]*types.Interface) bool {
+	fn, ok := n.Pkg.Info.Defs[n.Decl.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, it := range ifaces[fn.Name()] {
+		if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+			return true
+		}
+	}
+	return false
 }

@@ -64,26 +64,6 @@ func TestRemovalOnlyMovesRemovedNodesKeys(t *testing.T) {
 	}
 }
 
-func TestOwnersDistinctSuccessors(t *testing.T) {
-	r := New([]string{"n1", "n2", "n3"}, 32)
-	for _, k := range keys(200) {
-		owners := r.Owners(k, 3)
-		if len(owners) != 3 {
-			t.Fatalf("key %q: got %d owners, want 3", k, len(owners))
-		}
-		if owners[0] != r.Owner(k) {
-			t.Fatalf("key %q: Owners[0]=%q != Owner=%q", k, owners[0], r.Owner(k))
-		}
-		seen := map[string]bool{}
-		for _, o := range owners {
-			if seen[o] {
-				t.Fatalf("key %q: duplicate owner %q in %v", k, o, owners)
-			}
-			seen[o] = true
-		}
-	}
-}
-
 func TestEmptyAndSingleRing(t *testing.T) {
 	if o := New(nil, 8).Owner("k"); o != "" {
 		t.Fatalf("empty ring owner = %q, want \"\"", o)
@@ -97,25 +77,4 @@ func TestEmptyAndSingleRing(t *testing.T) {
 	if got := New([]string{"a", "", "a"}, 8).Nodes(); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("duplicate/empty ids not collapsed: %v", got)
 	}
-}
-
-// Owners returns up to n distinct nodes clockwise from key's position:
-// the owner followed by the natural replica successors. Used for
-// replica placement; with n >= the member count it returns every node.
-func (r *Ring) Owners(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	seen := map[string]bool{}
-	i := r.successor(key)
-	for len(out) < n && len(seen) < len(r.nodes) {
-		p := r.points[i%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-		i++
-	}
-	return out
 }

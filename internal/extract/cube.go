@@ -1,136 +1,119 @@
 package extract
 
 import (
-	"sort"
+	"slices"
 
+	"repro/internal/kcm"
 	"repro/internal/network"
+	"repro/internal/rect"
 	"repro/internal/sop"
 )
 
 // CubeExtract performs common-cube extraction (paper §2: "when the
 // subexpression is a cube ... the factoring is called cube
-// extraction"): it repeatedly finds the multi-literal cube whose
-// extraction as a new node saves the most literals, materializes it,
-// and divides the using functions, until no cube is profitable.
+// extraction") on the rectangle-covering engine of KernelExtract. Its
+// matrix is the cube-literal matrix of the given nodes: a row per cube
+// of two or more literals, with the unit co-kernel, and a column per
+// literal, so a rectangle's columns form a cube common to all its rows.
+// Extracting a common cube of w literals that k cubes contain saves
+// k·(w−1) − w literals, which is the gain rect gives such a rectangle.
 //
-// Candidate cubes are the pairwise intersections of function cubes —
-// the classical heuristic — and a candidate used k times with w
-// literals saves k·(w−1) − w.
-func CubeExtract(nw *network.Network, nodes []sop.Var, maxIters int) Result {
+// The matrix is covered greedily as in KernelExtract: each search
+// through a rect.Cover harvests up to opt.BatchK cube-disjoint
+// rectangles under opt.Rect's bounds, and each rectangle's cube
+// becomes a new node that replaces it in every cube of the rectangle's
+// nodes containing it. maxIters, when positive, bounds the number of
+// searches. New nodes do not join this call's matrix; the next call
+// sees each as one more literal, so longer common cubes are built up
+// across calls. Passing nil nodes factors every current node.
+func CubeExtract(nw *network.Network, nodes []sop.Var, maxIters int, opt Options) Result {
 	if nodes == nil {
 		nodes = nw.NodeVars()
 	}
-	active := append([]sop.Var(nil), nodes...)
+	m := cubeLiteralMatrix(nw, nodes)
+	covered := rect.NewCover(m)
+	cfg := opt.Rect
+	cfg.Cover = covered
 	var res Result
-	for {
-		if maxIters > 0 && res.Iterations >= maxIters {
-			break
-		}
+	for maxIters <= 0 || res.Iterations < maxIters {
 		res.Iterations++
-		cand, work := bestCommonCube(nw, active)
-		res.Work.SearchVisits += work
-		if cand.cube == nil || cand.gain <= 0 {
+		batch, stats := rect.BestK(m, cfg, nil, opt.BatchK)
+		res.Work.SearchVisits += stats.Visits
+		if len(batch) == 0 {
 			break
 		}
-		v := nw.NewNodeVar(sop.NewExpr(cand.cube.Clone()))
-		for _, node := range cand.users {
-			fn := nw.Node(node).Fn
-			res.Work.DivisionCubes += fn.NumCubes()
-			nf := substituteCube(fn, v, cand.cube)
-			nw.SetFn(node, nf)
+		for _, r := range batch {
+			markCovered(m, r, covered)
+			c := make(sop.Cube, len(r.Cols))
+			for i, col := range r.Cols {
+				c[i] = m.Col(col).Cube[0]
+			}
+			// The matrix is not rebuilt as cubes are rewritten, so a row
+			// may stand for a cube an earlier rectangle rewrote: extract
+			// c only while the current cubes containing it still gain.
+			groups := GroupRows(m, r)
+			k := 0
+			for _, nr := range groups {
+				for _, fc := range nw.Node(nr.Node).Fn.Cubes() {
+					if fc.Contains(c) {
+						k++
+					}
+				}
+			}
+			if k*(len(c)-1) <= len(c) {
+				continue
+			}
+			v := nw.NewNodeVar(sop.NewExpr(c))
+			for _, nr := range groups {
+				fn := nw.Node(nr.Node).Fn
+				res.Work.DivisionCubes += fn.NumCubes()
+				nw.SetFn(nr.Node, substituteCube(fn, v, c))
+			}
+			res.Extracted++
+			res.GainEstimate += r.Gain
 		}
-		res.Extracted++
-		res.GainEstimate += cand.gain
-		active = append(active, v)
 	}
 	return res
 }
 
-type cubeCand struct {
-	cube  sop.Cube
-	gain  int
-	users []sop.Var
-}
-
-// pairWindow bounds the pairwise candidate scan: each cube is
-// intersected with at most this many successors in the global cube
-// list. Candidates shared by distant cubes still surface because any
-// *adjacent-ish* pair generating the candidate suffices — usage is
-// then counted across all cubes.
-const pairWindow = 24
-
-// maxCandidates bounds the distinct candidate cubes evaluated per
-// iteration, keeping the usage-counting pass linear in practice.
-const maxCandidates = 400
-
-// bestCommonCube scans windowed pairwise intersections of cubes
-// within the given nodes and returns the candidate with maximum
-// literal savings. The returned work counter is the number of cube
-// pairs inspected plus usage-count probes.
-func bestCommonCube(nw *network.Network, nodes []sop.Var) (cubeCand, int) {
-	// Gather all cubes with their owning node.
-	type owned struct {
-		node sop.Var
-		cube sop.Cube
-	}
-	var all []owned
+// cubeLiteralMatrix builds the cube-literal matrix of nodes. Its rows
+// are the cubes of two or more literals, in node and then cube order,
+// labeled 1, 2, …; a one-literal cube contains no common cube worth
+// extracting. Its columns are the distinct literals of those cubes,
+// labeled 1, 2, … in literal order, each with the one-literal cube.
+// Every literal of a row's cube is an entry of weight 1 with a cube id
+// of its own, so covering an entry spends one literal occurrence.
+func cubeLiteralMatrix(nw *network.Network, nodes []sop.Var) *kcm.Matrix {
+	var rows []*kcm.Row
+	var cubes []sop.Cube
+	var lits []sop.Lit
 	for _, v := range nodes {
-		nd := nw.Node(v)
-		if nd == nil {
-			continue
-		}
-		for _, c := range nd.Fn.Cubes() {
+		for _, c := range nw.Node(v).Fn.Cubes() {
 			if len(c) >= 2 {
-				all = append(all, owned{v, c})
+				rows = append(rows, &kcm.Row{ID: int64(len(rows) + 1), Node: v})
+				cubes = append(cubes, c)
+				lits = append(lits, c...)
 			}
 		}
 	}
-	work := 0
-	seen := map[string]bool{}
-	var best cubeCand
-	consider := func(cand sop.Cube) {
-		if len(cand) < 2 || len(seen) >= maxCandidates {
-			return
-		}
-		key := cand.Key()
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		// Count usage across all cubes.
-		k := 0
-		userSet := map[sop.Var]bool{}
-		var users []sop.Var
-		for _, o := range all {
-			work++
-			if o.cube.Contains(cand) {
-				k++
-				if !userSet[o.node] {
-					userSet[o.node] = true
-					users = append(users, o.node)
-				}
-			}
-		}
-		if k < 2 {
-			return
-		}
-		gain := k*(len(cand)-1) - len(cand)
-		if gain > best.gain || (gain == best.gain && best.cube != nil && cand.Compare(best.cube) < 0) {
-			sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-			best = cubeCand{cube: cand, gain: gain, users: users}
-		}
+	slices.Sort(lits)
+	lits = slices.Compact(lits)
+	m := kcm.NewMatrix()
+	for i, l := range lits {
+		m.InternColumn(sop.Cube{l}, int64(i+1))
 	}
-	for i := 0; i < len(all); i++ {
-		hi := i + 1 + pairWindow
-		if hi > len(all) {
-			hi = len(all)
+	cubeID := int64(0)
+	for i, row := range rows {
+		row.Entries = make([]kcm.Entry, len(cubes[i]))
+		for k, l := range cubes[i] {
+			cubeID++
+			col, _ := slices.BinarySearch(lits, l)
+			row.Entries[k] = kcm.Entry{Col: int64(col + 1), CubeID: cubeID, Weight: 1}
 		}
-		for j := i + 1; j < hi; j++ {
-			work++
-			consider(all[i].cube.Intersect(all[j].cube))
-		}
+		m.AddRow(row)
 	}
-	return best, work
+	m.SortColRows()
+	return m
 }
 
 // substituteCube rewrites every cube of fn containing c to use the

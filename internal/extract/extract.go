@@ -234,8 +234,16 @@ func ApplyRect(nw *network.Network, m *kcm.Matrix, r rect.Rect, kernel sop.Expr,
 		}
 		changed = changed || ch
 	}
-	// Mark every cube of the rectangle covered, fresh or not —
-	// their literal value has been spent.
+	markCovered(m, r, covered)
+	if !changed {
+		nw.RemoveNode(v)
+	}
+	return v, dirty, touched, changed
+}
+
+// markCovered marks every cube of rectangle r covered, fresh or not:
+// their literal value has been spent.
+func markCovered(m *kcm.Matrix, r rect.Rect, covered *rect.Cover) {
 	for _, rid := range r.Rows {
 		row := m.Row(rid)
 		for _, c := range r.Cols {
@@ -244,10 +252,6 @@ func ApplyRect(nw *network.Network, m *kcm.Matrix, r rect.Rect, kernel sop.Expr,
 			}
 		}
 	}
-	if !changed {
-		nw.RemoveNode(v)
-	}
-	return v, dirty, touched, changed
 }
 
 // NodeRows groups one node's rows of a rectangle: the unit of

@@ -207,7 +207,7 @@ func TestCubeExtract(t *testing.T) {
 	nw.AddOutput("z")
 	ref := nw.Clone()
 	before := nw.Literals()
-	res := CubeExtract(nw, nil, 0)
+	res := CubeExtract(nw, nil, 0, Options{})
 	if res.Extracted == 0 {
 		t.Fatal("no cube extracted")
 	}
@@ -225,7 +225,7 @@ func TestCubeExtractNoCandidates(t *testing.T) {
 	nw.AddInput("b")
 	nw.MustAddNode("x", sop.MustParseExpr(nw.Names, "a + b"))
 	nw.AddOutput("x")
-	res := CubeExtract(nw, nil, 0)
+	res := CubeExtract(nw, nil, 0, Options{})
 	if res.Extracted != 0 {
 		t.Fatalf("extracted %d cubes from cube-free network", res.Extracted)
 	}

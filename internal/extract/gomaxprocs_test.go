@@ -8,8 +8,12 @@ import (
 
 	"repro/internal/blif"
 	"repro/internal/gen"
+	"repro/internal/network"
 	"repro/internal/rect"
 )
+
+// serviceOptions are the service's default search options.
+var serviceOptions = Options{Rect: rect.Config{MaxCols: 5, MaxVisits: 100000}, BatchK: 16}
 
 // TestPropertyRepeatSameAtAnyGOMAXPROCS factors the misex3, dalu and
 // des benchmarks with Repeat under the service's default search
@@ -17,8 +21,27 @@ import (
 // presearch fans out, and at GOMAXPROCS 4, where both do. The BLIF and
 // the work counters must be identical.
 func TestPropertyRepeatSameAtAnyGOMAXPROCS(t *testing.T) {
+	sameAtAnyGOMAXPROCS(t, func(nw *network.Network) Result {
+		res, _ := Repeat(context.Background(), nw, nil, serviceOptions)
+		return res
+	})
+}
+
+// TestPropertyCubeExtractSameAtAnyGOMAXPROCS runs CubeExtract to
+// completion on the same benchmarks and options, whose searches
+// presearch their roots on every core at GOMAXPROCS 4.
+func TestPropertyCubeExtractSameAtAnyGOMAXPROCS(t *testing.T) {
+	sameAtAnyGOMAXPROCS(t, func(nw *network.Network) Result {
+		return CubeExtract(nw, nil, 0, serviceOptions)
+	})
+}
+
+// sameAtAnyGOMAXPROCS calls run on fresh misex3, dalu and des
+// networks at GOMAXPROCS 1 and 4 and requires the same BLIF, work and
+// extraction count.
+func sameAtAnyGOMAXPROCS(t *testing.T, run func(*network.Network) Result) {
+	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	opt := Options{Rect: rect.Config{MaxCols: 5, MaxVisits: 100000}, BatchK: 16}
 	for _, name := range []string{"misex3", "dalu", "des"} {
 		var out [2]bytes.Buffer
 		var res [2]Result
@@ -28,7 +51,7 @@ func TestPropertyRepeatSameAtAnyGOMAXPROCS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res[i], _ = Repeat(context.Background(), nw, nil, opt)
+			res[i] = run(nw)
 			if err := blif.Write(&out[i], nw); err != nil {
 				t.Fatal(err)
 			}

@@ -126,18 +126,6 @@ func TestFactorLiteralFallback(t *testing.T) {
 	}
 }
 
-func TestNetworkLiterals(t *testing.T) {
-	names := sop.NewNames()
-	fns := []sop.Expr{
-		sop.MustParseExpr(names, "a*b + a*c"),
-		sop.MustParseExpr(names, "d"),
-	}
-	// a(b+c) = 3, d = 1.
-	if got := NetworkLiterals(fns); got != 4 {
-		t.Fatalf("network factored literals = %d want 4", got)
-	}
-}
-
 // Property: factoring is always functionally exact (the expanded
 // form computes the same Boolean function — factored forms may
 // simplify absorbed cubes, e.g. 1 + v2 collapses to 1, so structural
@@ -240,17 +228,6 @@ func randExpr(r *rand.Rand) sop.Expr {
 		return sop.One()
 	}
 	return e
-}
-
-// NetworkLiterals returns the factored literal count of a whole set
-// of functions: the sum of factored literal counts. Synthesis flows
-// quote this as the final area estimate.
-func NetworkLiterals(fns []sop.Expr) int {
-	n := 0
-	for _, f := range fns {
-		n += Factor(f).Literals()
-	}
-	return n
 }
 
 // Depth returns the tree depth (leaves and constants are depth 1).

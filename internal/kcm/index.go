@@ -37,6 +37,9 @@ type Index struct {
 	RowRefs [][]int32
 	// MaxCubeID mirrors Matrix.MaxCubeID at build time.
 	MaxCubeID int64
+	// MaxRowLen is the entry count of the longest row: no rectangle
+	// has more columns, since each of its rows holds all of them.
+	MaxRowLen int
 
 	rowPos map[int64]int32
 	colPos map[int64]int32
@@ -82,6 +85,7 @@ func (m *Matrix) Index() *Index {
 	}
 	refs := make([]int32, m.entries)
 	for i, r := range ix.Rows {
+		ix.MaxRowLen = max(ix.MaxRowLen, len(r.Entries))
 		ix.RowRefs[i] = refs[:len(r.Entries):len(r.Entries)]
 		refs = refs[len(r.Entries):]
 		for k, e := range r.Entries {

@@ -244,7 +244,7 @@ func compareEntries(a, b Entry) int { return cmp.Compare(a.Col, b.Col) }
 func sortEntrySlice(entries []Entry) { slices.SortFunc(entries, compareEntries) }
 
 // colTable is an open-addressing hash table interning columns by their
-// kernel cube. It replaces a map keyed by Cube.Key() strings, whose
+// kernel cube. It replaces a map keyed by cube strings, whose
 // materialization dominated the matrix-build allocation profile.
 type colTable struct {
 	slots []*Col

@@ -296,7 +296,7 @@ func tripleSet(nw *network.Network, m *Matrix) map[string]bool {
 	for _, r := range m.Rows() {
 		for _, e := range r.Entries {
 			col := m.Col(e.Col)
-			out[nw.Names.Name(r.Node)+"|"+r.CoKernel.Key()+"|"+col.Cube.Key()] = true
+			out[nw.Names.Name(r.Node)+"|"+r.CoKernel.String()+"|"+col.Cube.String()] = true
 		}
 	}
 	return out

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -138,30 +137,6 @@ func TestSmallFunctionsHaveNoKernels(t *testing.T) {
 	}
 }
 
-func TestIsLevel0(t *testing.T) {
-	n := sop.NewNames()
-	if !IsLevel0(sop.MustParseExpr(n, "a + b")) {
-		t.Fatal("a+b is level 0")
-	}
-	if IsLevel0(sop.MustParseExpr(n, "a*b + a*c")) {
-		t.Fatal("ab+ac has kernel b+c, not level 0")
-	}
-}
-
-func TestKernelCubesColumns(t *testing.T) {
-	n := sop.NewNames()
-	F := sop.MustParseExpr(n, "a*f + b*f + a*g + c*g + a*d*e + b*d*e + c*d*e")
-	cubes := KernelCubes(All(F, Options{}))
-	// Figure 2 columns for B1: a, b, c, de, f, g — 6 distinct cubes.
-	if len(cubes) != 6 {
-		names := make([]string, len(cubes))
-		for i, c := range cubes {
-			names[i] = c.Format(n.Fmt())
-		}
-		t.Fatalf("got %d kernel cubes %v, want 6", len(cubes), names)
-	}
-}
-
 // Property: every generated pair satisfies the kernel definition:
 // Kernel = f/CoKernel and Kernel is cube-free with >= 2 cubes.
 func TestQuickKernelDefinition(t *testing.T) {
@@ -198,7 +173,7 @@ func TestQuickKernelExhaustive(t *testing.T) {
 		pairs := All(f, Options{IncludeTrivial: true})
 		byKey := map[string]bool{}
 		for _, p := range pairs {
-			byKey[p.CoKernel.Key()] = true
+			byKey[p.CoKernel.String()] = true
 		}
 		sup := f.Support()
 		var cands []sop.Cube
@@ -214,7 +189,7 @@ func TestQuickKernelExhaustive(t *testing.T) {
 		for _, c := range cands {
 			q := f.DivCube(c)
 			if q.NumCubes() >= 2 && q.IsCubeFree() {
-				if !byKey[c.Key()] {
+				if !byKey[c.String()] {
 					return false
 				}
 			}
@@ -250,31 +225,4 @@ func BenchmarkKernelsPaperF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		All(F, Options{})
 	}
-}
-
-// IsLevel0 reports whether k is a level-0 kernel: no literal appears
-// in two or more of its cubes, i.e. it has no kernels but itself.
-func IsLevel0(k sop.Expr) bool {
-	count := map[sop.Lit]int{}
-	for _, c := range k.Cubes() {
-		for _, l := range c {
-			count[l]++
-			if count[l] >= 2 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// KernelCubes returns the distinct cubes appearing across all kernels
-// in pairs, in a deterministic order. These are the columns of the
-// co-kernel cube matrix.
-func KernelCubes(pairs []Pair) []sop.Cube {
-	var out []sop.Cube
-	for _, p := range pairs {
-		out = append(out, p.Kernel.Cubes()...)
-	}
-	slices.SortFunc(out, sop.Cube.Compare)
-	return slices.CompactFunc(out, sop.Cube.Equal)
 }

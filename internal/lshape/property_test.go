@@ -62,7 +62,7 @@ func checkOwnership(t *testing.T, mats []*kcm.Matrix, own Ownership, ref *refOwn
 	var cubes []sop.Cube
 	for k, c := range own[p] {
 		cube := mats[p].Cols()[k].Cube
-		key := cube.Key()
+		key := cube.String()
 		if c.Owner != ref.Owner[key] || c.Label != ref.GlobalID[key] {
 			t.Fatalf("proc %d column %d: owner %d label %d, reference %d %d",
 				p, k, c.Owner, c.Label, ref.Owner[key], ref.GlobalID[key])

@@ -1,7 +1,7 @@
 package lshape
 
 // This file keeps the original map-based ownership distribution and
-// L-matrix assembly, keyed by Cube.Key() strings, as the oracle that
+// L-matrix assembly, keyed by Cube.String() strings, as the oracle that
 // TestPropertyAssembleMatchesReference checks Distribute and Assemble
 // against. Apart from the ref prefix on its names it is the code the
 // slice-based pass replaced.
@@ -59,7 +59,7 @@ func refDistribute(mats []*kcm.Matrix) *refOwnership {
 		cols := append([]*kcm.Col(nil), m.Cols()...)
 		sort.Slice(cols, func(i, j int) bool { return cols[i].ID < cols[j].ID })
 		for _, c := range cols {
-			key := c.Cube.Key()
+			key := c.Cube.String()
 			if _, taken := o.Owner[key]; !taken {
 				o.Owner[key] = p
 				o.GlobalID[key] = c.ID

@@ -168,9 +168,12 @@ type searcher struct {
 	live int
 }
 
+// newSearcher clamps MaxCols to the longest row, the deepest a node can
+// be, so the scratch arena, sized per level, is bounded by the matrix.
 func newSearcher(m *kcm.Matrix, cfg Config, val Valuer) *searcher {
 	s := &searcher{m: m, cfg: withDefaults(cfg), val: val, cover: cfg.Cover}
 	s.ix = m.Index()
+	s.cfg.MaxCols = min(s.cfg.MaxCols, s.ix.MaxRowLen)
 	s.sc = getScratch(len(s.ix.RowIDs), len(s.ix.ColIDs), int(s.ix.MaxCubeID)+1, s.cfg.MaxCols)
 	s.top, s.local = s.sc.top, s.sc.local
 	return s

@@ -2,6 +2,7 @@ package rect
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/kcm"
@@ -148,6 +149,33 @@ func TestMaxColsLimitsDepth(t *testing.T) {
 	}
 	if len(bestShallow.Cols) > 2 {
 		t.Fatal("MaxCols=2 produced a wider rectangle")
+	}
+}
+
+// TestMaxColsBeyondLongestRow searches the paper matrix with MaxCols
+// equal to its longest row and again with 1<<16. Every column of a
+// rectangle lies in each of its rows, so the result and Stats must be
+// the same, and the second search may allocate in proportion to the
+// matrix but not to MaxCols, which sizes the scratch arena per level.
+func TestMaxColsBeyondLongestRow(t *testing.T) {
+	_, m := paperMatrix(t)
+	longest := 0
+	for _, r := range m.Rows() {
+		longest = max(longest, len(r.Entries))
+	}
+	want, wantStats := Best(m, Config{MaxCols: longest}, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, gotStats := Best(m, Config{MaxCols: 1 << 16}, nil)
+	runtime.ReadMemStats(&after)
+	if CompareRects(got, want) != 0 || gotStats != wantStats {
+		t.Fatalf("MaxCols 1<<16 found %+v with %+v, MaxCols %d found %+v with %+v",
+			got, gotStats, longest, want, wantStats)
+	}
+	bound := uint64(4 << 10 * (len(m.Rows()) + len(m.Cols()) + m.NumEntries()))
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
+		t.Fatalf("MaxCols 1<<16 allocated %d bytes on a %dx%d matrix of %d entries, over %d",
+			alloc, len(m.Rows()), len(m.Cols()), m.NumEntries(), bound)
 	}
 }
 

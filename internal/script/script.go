@@ -20,8 +20,9 @@ import (
 
 // Options configures the flow.
 type Options struct {
-	// Kernel, Rect and BatchK configure factorization, as in
-	// extract.Options.
+	// Kernel, Rect and BatchK configure kernel extraction, as in
+	// extract.Options; Rect and BatchK bound cube extraction's
+	// searches too.
 	Kernel kernels.Options
 	Rect   rect.Config
 	BatchK int
@@ -79,28 +80,23 @@ func Run(nw *network.Network, opt Options) Result {
 		}
 	}
 
+	xopt := extract.Options{Kernel: opt.Kernel, Rect: opt.Rect, BatchK: opt.BatchK}
+	gkx := func() int64 {
+		r := extract.KernelExtract(context.Background(), nw, nil, xopt)
+		return int64(r.Work.Total())
+	}
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		res.Passes++
 		before := nw.Literals()
 
 		phase("sweep", func() int64 { return int64(Sweep(nw)) })
 		phase("simplify", func() int64 { return int64(Simplify(nw)) })
-		phase("gkx", func() int64 {
-			r := extract.KernelExtract(context.Background(), nw, nil, extract.Options{
-				Kernel: opt.Kernel, Rect: opt.Rect, BatchK: opt.BatchK,
-			})
-			return int64(r.Work.Total())
-		})
+		phase("gkx", gkx)
 		phase("cube", func() int64 {
-			r := extract.CubeExtract(nw, nil, 4)
+			r := extract.CubeExtract(nw, nil, 4, xopt)
 			return int64(r.Work.Total())
 		})
-		phase("gkx", func() int64 {
-			r := extract.KernelExtract(context.Background(), nw, nil, extract.Options{
-				Kernel: opt.Kernel, Rect: opt.Rect, BatchK: opt.BatchK,
-			})
-			return int64(r.Work.Total())
-		})
+		phase("gkx", gkx)
 		phase("eliminate", func() int64 { return int64(Eliminate(nw)) })
 
 		if nw.Literals() >= before {

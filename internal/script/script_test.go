@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/equiv"
+	"repro/internal/gen"
 	"repro/internal/network"
+	"repro/internal/rect"
 	"repro/internal/sop"
 )
 
@@ -120,5 +122,24 @@ func TestRunPaperNetwork(t *testing.T) {
 	}
 	if len(res.Phases) == 0 || res.Passes == 0 {
 		t.Fatal("phases not recorded")
+	}
+}
+
+// TestRunPreservesFunction runs the flow with Table 1's search options
+// on misex3 and dalu, and requires every output to keep its function.
+func TestRunPreservesFunction(t *testing.T) {
+	for _, name := range []string{"misex3", "dalu"} {
+		nw, err := gen.Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := nw.Clone()
+		res := Run(nw, Options{Rect: rect.Config{MaxCols: 5, MaxVisits: 100000}, BatchK: 16})
+		if res.FinalLC >= res.InitialLC {
+			t.Fatalf("%s: LC %d -> %d", name, res.InitialLC, res.FinalLC)
+		}
+		if err := equiv.Check(ref, nw, equiv.Options{}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }

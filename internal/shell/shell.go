@@ -96,7 +96,7 @@ func (s *Shell) Exec(line string) (quit bool, err error) {
 		err = s.gkx(args)
 	case "cx":
 		err = s.withNet(func() {
-			r := extract.CubeExtract(s.nw, nil, 0)
+			r := extract.CubeExtract(s.nw, nil, 0, extract.Options{Rect: s.opt.Rect, BatchK: s.opt.BatchK})
 			fmt.Fprintf(s.out, "extracted %d cubes; lits = %d\n", r.Extracted, s.nw.Literals())
 		})
 	case "sweep":

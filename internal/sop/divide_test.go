@@ -123,22 +123,6 @@ func TestSubstituteNoChange(t *testing.T) {
 	}
 }
 
-func TestDividesEvenly(t *testing.T) {
-	n := NewNames()
-	f := MustParseExpr(n, "a*b + a*c")
-	a := MustCube(Pos(n.Intern("a")))
-	b := MustCube(Pos(n.Intern("b")))
-	if !f.DividesEvenly(a) {
-		t.Fatal("a divides ab+ac evenly")
-	}
-	if f.DividesEvenly(b) {
-		t.Fatal("b does not divide ab+ac evenly")
-	}
-	if Zero().DividesEvenly(a) {
-		t.Fatal("nothing divides 0 evenly by convention")
-	}
-}
-
 // Substitute re-expresses f in terms of a new variable x whose
 // function is g: it returns q·x + r when g algebraically divides f
 // with a non-zero quotient, and f unchanged otherwise. The boolean
@@ -149,17 +133,4 @@ func (f Expr) Substitute(x Var, g Expr) (Expr, bool) {
 		return f, false
 	}
 	return q.MulCube(Cube{Pos(x)}).Add(r), true
-}
-
-// DividesEvenly reports whether c divides every cube of f.
-func (f Expr) DividesEvenly(c Cube) bool {
-	if len(f.cubes) == 0 {
-		return false
-	}
-	for _, fc := range f.cubes {
-		if !fc.Contains(c) {
-			return false
-		}
-	}
-	return true
 }

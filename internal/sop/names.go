@@ -44,9 +44,6 @@ func (n *Names) Name(v Var) string {
 	return fmt.Sprintf("v%d", v)
 }
 
-// Len returns the number of interned variables.
-func (n *Names) Len() int { return len(n.byVar) }
-
 // Clone returns an independent copy of the table with identical
 // variable assignments. Replicated-circuit workers clone the table so
 // each can intern new node names without sharing mutable state.

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -260,21 +259,4 @@ func (c Cube) Format(name func(Var) string) string {
 		}
 	}
 	return b.String()
-}
-
-// Key returns a compact string usable as a map key for the cube.
-// Interning columns by cube key sits on the matrix-build hot path, so
-// this avoids fmt and encodes digits directly.
-func (c Cube) Key() string {
-	if len(c) == 0 {
-		return ""
-	}
-	buf := make([]byte, 0, 8*len(c))
-	for i, l := range c {
-		if i > 0 {
-			buf = append(buf, '.')
-		}
-		buf = strconv.AppendInt(buf, int64(int32(l)), 10)
-	}
-	return string(buf)
 }

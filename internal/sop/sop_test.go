@@ -1,9 +1,6 @@
 package sop
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestMkLit(t *testing.T) {
 	l := MkLit(5, false)
@@ -223,9 +220,6 @@ func TestNamesRoundTrip(t *testing.T) {
 	if _, ok := n.Lookup("bar"); ok {
 		t.Fatal("Lookup of unknown name should fail")
 	}
-	if n.Len() != 1 {
-		t.Fatalf("Len = %d", n.Len())
-	}
 	if n.Name(Var(99)) != "v99" {
 		t.Fatalf("fallback name = %q", n.Name(Var(99)))
 	}
@@ -244,26 +238,4 @@ func TestFormat(t *testing.T) {
 	if One().Format(n.Fmt()) != "1" {
 		t.Fatal("one format")
 	}
-}
-
-func TestKeysDistinguish(t *testing.T) {
-	n := NewNames()
-	f := MustParseExpr(n, "a*b + c")
-	g := MustParseExpr(n, "a*b + c'")
-	if f.Key() == g.Key() {
-		t.Fatal("distinct expressions share a key")
-	}
-	if f.Key() != MustParseExpr(n, "c + a*b").Key() {
-		t.Fatal("equal expressions must share a key")
-	}
-}
-
-// Key returns a compact string usable as a map key for the canonical
-// expression.
-func (f Expr) Key() string {
-	parts := make([]string, len(f.cubes))
-	for i, c := range f.cubes {
-		parts[i] = c.Key()
-	}
-	return strings.Join(parts, "|")
 }
