@@ -218,19 +218,22 @@ func BenchmarkFig2MatrixBuildIncremental(b *testing.B) {
 }
 
 // BenchmarkFig34LShapeAssembly benchmarks ownership distribution and
-// B_ij exchange (Figures 3 and 4).
+// B_ij exchange (Figures 3 and 4). des has the largest L-matrices.
 func BenchmarkFig34LShapeAssembly(b *testing.B) {
-	nw := benchCircuit(b, "dalu")
-	for _, p := range []int{2, 6} {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			pp := tablesKWay(nw, p)
-			mats := lshape.BuildMatrices(nw, pp, kernels.Options{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				own := lshape.Distribute(mats)
-				lshape.Assemble(mats, own)
-			}
-		})
+	for _, name := range []string{"dalu", "des"} {
+		nw := benchCircuit(b, name)
+		for _, p := range []int{2, 6} {
+			b.Run(fmt.Sprintf("%s/p%d", name, p), func(b *testing.B) {
+				pp := tablesKWay(nw, p)
+				mats := lshape.BuildMatrices(nw, pp, kernels.Options{})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					own := lshape.Distribute(mats)
+					lshape.Assemble(mats, own)
+				}
+			})
+		}
 	}
 }
 

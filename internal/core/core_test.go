@@ -6,7 +6,11 @@ import (
 
 	"repro/internal/equiv"
 	"repro/internal/gen"
+	"repro/internal/kcm"
+	"repro/internal/kernels"
+	"repro/internal/lshape"
 	"repro/internal/network"
+	"repro/internal/partition"
 	"repro/internal/rect"
 )
 
@@ -223,6 +227,52 @@ func TestLShapedP1Pinned(t *testing.T) {
 			t.Errorf("%s: LC %d, virtual time %d; want %d, %d",
 				name, res.LC, res.VirtualTime, want[name].lc, want[name].vt)
 		}
+	}
+}
+
+// TestLShapedPeerCoverChangesBest pins, without goroutines, the shared
+// state §5.3 rests on at p = 2: a leg entry of worker 0's L-matrix
+// carries the CubeID that worker 1's own row gives the same function
+// cube. Worker 1 covers, under its own id, a cube of worker 0's best
+// rectangle that worker 0 holds only through the leg B_10, and worker
+// 0's best rectangle, valued through the state table, must lose value.
+func TestLShapedPeerCoverChangesBest(t *testing.T) {
+	nw, err := gen.Benchmark("dalu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mats := lshape.BuildMatrices(nw, partition.KWay(nw, nil, 2, partition.Options{}), kernels.Options{})
+	ls, _ := lshape.Assemble(mats, lshape.Distribute(mats))
+	st := NewStateTable()
+	val := func(e kcm.Entry) int { return st.Value(0, e.CubeID, e.Weight) }
+	cfg := rect.Config{MaxCols: 5, MaxVisits: 100000}
+	before, _ := rect.Best(ls[0], cfg, val)
+
+	// A cube of the best rectangle in a row worker 0 got from worker 1,
+	// as worker 1's own L-matrix holds it.
+	var id int64
+	var weight int
+	for _, rid := range before.Rows {
+		if mats[0].Row(rid) != nil {
+			continue
+		}
+		e, ok := ls[1].Row(rid).Entry(before.Cols[0])
+		if !ok {
+			t.Fatalf("worker 1's row %d has no entry in column %d", rid, before.Cols[0])
+		}
+		id, weight = e.CubeID, e.Weight
+		break
+	}
+	if id == 0 {
+		t.Fatalf("worker 0's best rectangle %v uses no row of the leg B_10", before)
+	}
+	st.Cover(1, []int64{id}, []int{weight})
+	if v := st.Value(0, id, weight); v != 0 {
+		t.Fatalf("cube %d covered by worker 1 is worth %d to worker 0", id, v)
+	}
+	after, _ := rect.Best(ls[0], cfg, val)
+	if after.Gain >= before.Gain {
+		t.Fatalf("worker 0's best %v did not lose value after worker 1 covered cube %d (was %v)", after, id, before)
 	}
 }
 

@@ -1,0 +1,167 @@
+package kcm
+
+import "repro/internal/analysis/invariant"
+
+// Part is one source of Compose's rows: the rows of M, whose column k
+// is labeled M.Cols()[0].ID+k, as a Patcher labels them. An entry in
+// column k moves to column To[k] of the composed matrix, or is dropped
+// when To[k] is negative; a row left with no entry is dropped. A nil
+// To keeps every entry at its own column position, and every row.
+type Part struct {
+	M  *Matrix
+	To []int32
+}
+
+// Compose builds a matrix whose columns are those of parts[own].M,
+// column k relabeled labels[k], and whose rows are the rows of every
+// part: parts[own]'s first, then the others' in part order. Row labels,
+// nodes, co-kernels and entries' cube ids and weights are kept; each
+// row's entries are re-sorted only when relabeling broke label order.
+//
+// It is processor j's L-shaped matrix of §5.1 when parts are the
+// position-labeled partition matrices in processor order, own is j,
+// parts[j].To is nil, and the other parts' To keep only the columns j
+// owns (see lshape.AssembleProc).
+//
+// The build is two passes over exact-size slabs: one counts the rows
+// and entries each part keeps, the other fills them. A column's
+// position follows from its label by arithmetic, and the cube table is
+// parts[own].M's, pointed at the new columns, so nothing is hashed.
+// The parts' row ids must ascend in part order, as offset labels do:
+// each column's RowIDs are filled in that order. The parts are only
+// read, so several Compose calls may share them.
+func Compose(parts []Part, own int, labels []int64) *Matrix {
+	src := parts[own].M
+	nr, ne := 0, 0
+	for _, pt := range parts {
+		if pt.To == nil {
+			nr += len(pt.M.rows)
+			ne += pt.M.entries
+			continue
+		}
+		first := pt.M.firstLabel()
+		for _, r := range pt.M.rows {
+			kept := 0
+			for _, e := range r.Entries {
+				if pt.To[e.Col-first] >= 0 {
+					kept++
+				}
+			}
+			if kept > 0 {
+				nr++
+				ne += kept
+			}
+		}
+	}
+
+	colSlab := make([]Col, len(src.cols))
+	m := &Matrix{
+		rows:    make([]*Row, 0, nr),
+		cols:    make([]*Col, len(src.cols)),
+		rowByID: make(map[int64]*Row, nr),
+		colByID: make(map[int64]*Col, len(src.cols)),
+		entries: ne,
+	}
+	for k, c := range src.cols {
+		colSlab[k] = Col{ID: labels[k], Cube: c.Cube, pos: int32(k)}
+		m.cols[k] = &colSlab[k]
+		m.colByID[labels[k]] = &colSlab[k]
+	}
+	m.colTab = src.colTab.remap(m.cols)
+
+	// The slabs hold the rows in part order, the ascending-id order
+	// finish fills RowIDs in; Rows() lists parts[own]'s first.
+	rowSlab := make([]Row, nr)
+	entrySlab := make([]Entry, ne)
+	colRefs := make([]int32, ne)
+	ri, eoff, ownLo, ownHi := 0, 0, 0, 0
+	for x, pt := range parts {
+		if x == own {
+			ownLo = ri
+		}
+		first := pt.M.firstLabel()
+		for _, r := range pt.M.rows {
+			start := eoff
+			for _, e := range r.Entries {
+				pos := int32(e.Col - first)
+				if pt.To != nil {
+					if pos = pt.To[pos]; pos < 0 {
+						continue
+					}
+				}
+				e.Col = labels[pos]
+				entrySlab[eoff] = e
+				colRefs[eoff] = pos
+				eoff++
+				m.maxCubeID = max(m.maxCubeID, e.CubeID)
+			}
+			if pt.To != nil && eoff == start {
+				continue
+			}
+			rowSlab[ri] = Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel, Entries: entrySlab[start:eoff:eoff]}
+			slicesSortEntries(rowSlab[ri].Entries)
+			ri++
+		}
+		if x == own {
+			ownHi = ri
+		}
+	}
+	for i := range rowSlab[ownLo:ownHi] {
+		m.rows = append(m.rows, &rowSlab[ownLo+i])
+	}
+	for i := range rowSlab {
+		if i < ownLo || i >= ownHi {
+			m.rows = append(m.rows, &rowSlab[i])
+		}
+	}
+	m.finish(rowSlab, colRefs)
+	return m
+}
+
+// firstLabel returns the label of column 0: a position-labeled matrix
+// labels column k firstLabel()+k. A matrix with no column has no entry
+// to place.
+func (m *Matrix) firstLabel() int64 {
+	if len(m.cols) == 0 {
+		return 0
+	}
+	if invariant.Enabled {
+		for k, c := range m.cols {
+			invariant.Assert(c.ID == m.cols[0].ID+int64(k),
+				"column %d labeled %d, not by its position after %d", k, c.ID, m.cols[0].ID)
+		}
+	}
+	return m.cols[0].ID
+}
+
+// finish indexes the rows by id and gives every column its RowIDs from
+// one exact-size slab, then drops the derived views. rows holds every
+// row of the matrix in ascending id order, and colRefs the column
+// position of each of their entries, row after row (within a row, in
+// any order).
+func (m *Matrix) finish(rows []Row, colRefs []int32) {
+	counts := make([]int32, len(m.cols))
+	for _, cp := range colRefs {
+		counts[cp]++
+	}
+	slab := make([]int64, len(colRefs))
+	off := int32(0)
+	for i, c := range m.cols {
+		c.RowIDs = slab[off : off : off+counts[i]]
+		off += counts[i]
+	}
+	cur := 0
+	for i := range rows {
+		r := &rows[i]
+		if invariant.Enabled && i > 0 {
+			invariant.Assert(rows[i-1].ID < r.ID, "row %d follows row %d: RowIDs would not ascend", r.ID, rows[i-1].ID)
+		}
+		m.rowByID[r.ID] = r
+		for _, cp := range colRefs[cur : cur+len(r.Entries)] {
+			c := m.cols[cp]
+			c.RowIDs = append(c.RowIDs, r.ID)
+		}
+		cur += len(r.Entries)
+	}
+	m.invalidate()
+}

@@ -285,6 +285,20 @@ func (t *colTable) insert(h uint64, col *Col) {
 	t.n++
 }
 
+// remap returns a copy of t that holds, in each slot, the column of
+// cols at the slotted column's position: the table of a matrix whose
+// columns are t's, in the same order, under other labels. The hashes
+// carry over, so no cube is hashed again.
+func (t *colTable) remap(cols []*Col) colTable {
+	out := colTable{slots: make([]*Col, len(t.slots)), hash: slices.Clone(t.hash), n: t.n}
+	for i, c := range t.slots {
+		if c != nil {
+			out.slots[i] = cols[c.pos]
+		}
+	}
+	return out
+}
+
 func (t *colTable) grow() {
 	oldSlots, oldHash := t.slots, t.hash
 	size := 64

@@ -13,8 +13,9 @@ package kcm
 //   - re-kerneling only the nodes a division dirtied yields a matrix
 //     bit-identical to a from-scratch rebuild.
 //
-// The Patcher is the only production matrix constructor: Build is a
-// one-shot Patcher, and drivers keep one across calls.
+// The Patcher is the only production constructor of KC matrices:
+// Build is a one-shot Patcher, and drivers keep one across calls.
+// Compose builds L-shaped matrices from Patcher matrices.
 //
 // Invalidation protocol: MarkDirty only queues invalidation; a dirty
 // node's arena chunks are recycled at the *next* Rebuild, so the
@@ -355,7 +356,7 @@ func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 	entrySlab := make([]Entry, totalEntries)
 	// colRefs records, aligned with entrySlab *insertion* order, the
 	// position of each entry's column; per-row sorting of Entries does
-	// not disturb the per-row multiset, which is all pass 2 needs.
+	// not disturb the per-row multiset, which is all finish needs.
 	colRefs := make([]int32, totalEntries)
 
 	ri, eoff := 0, 0
@@ -392,7 +393,6 @@ func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 			row.Entries = entrySlab[start:eoff:eoff]
 			slicesSortEntries(row.Entries)
 			m.rows = append(m.rows, row)
-			m.rowByID[row.ID] = row
 			m.entries += len(row.Entries)
 		}
 		cubeSeq = cubeBase + int64(np.distinct)
@@ -400,28 +400,8 @@ func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 			m.maxCubeID = cubeSeq
 		}
 	}
-
-	// Pass 2: exact-capacity RowIDs per column from one backing slab,
-	// filled in row order (row ids increase, so each list is sorted).
-	counts := make([]int32, len(m.cols))
-	for _, cp := range colRefs[:eoff] {
-		counts[cp]++
-	}
-	rowIDSlab := make([]int64, eoff)
-	off := int32(0)
-	for i, c := range m.cols {
-		c.RowIDs = rowIDSlab[off : off : off+counts[i]]
-		off += counts[i]
-	}
-	cur := 0
-	for _, r := range m.rows {
-		for _, cp := range colRefs[cur : cur+len(r.Entries)] {
-			c := m.cols[cp]
-			c.RowIDs = append(c.RowIDs, r.ID)
-		}
-		cur += len(r.Entries)
-	}
-	m.invalidate()
+	// Row ids increase in row order, so finish's RowIDs are sorted.
+	m.finish(rowSlab, colRefs[:eoff])
 	return m
 }
 

@@ -20,8 +20,8 @@ package lshape
 
 import (
 	"fmt"
-	"slices"
 
+	"repro/internal/analysis/invariant"
 	"repro/internal/kcm"
 )
 
@@ -102,50 +102,63 @@ func Sends(mats []*kcm.Matrix, o Ownership, i int) []int {
 }
 
 // AssembleProc builds processor j's L-shaped matrix: its own rows in
-// mats[j] order, then the leg B_ij pulled from every other processor
-// i in processor order. Row labels are preserved; column labels are
+// mats[j] order, then the leg B_ij of every other processor i in
+// processor order. Row labels are preserved; column labels are
 // rewritten to global ones, so entries denoting the same function
 // cube carry the same CubeID everywhere — the shared state the §5.3
-// protocol relies on. The legs intern no column: a column j owns is
-// by definition in mats[j], whose columns are all interned first.
-// Peers' matrices are read only through Rows, Cols and RowIDs, so
-// every processor may assemble concurrently.
+// protocol relies on. A column j owns is by definition in mats[j],
+// labeled by its position there, so a leg entry's column is found
+// from its global label by arithmetic (kcm.Compose). Peers' matrices
+// and ownership slices are only read, so every processor may assemble
+// concurrently.
 func AssembleProc(mats []*kcm.Matrix, o Ownership, j int) *kcm.Matrix {
-	l := kcm.NewMatrix()
-	for k, c := range mats[j].Cols() {
-		l.InternColumn(c.Cube, o[j][k].Label)
+	labels := make([]int64, len(o[j]))
+	for k, c := range o[j] {
+		labels[k] = c.Label
 	}
-	pull(l, mats, o, j, j)
-	for i := range mats {
-		if i != j {
-			pull(l, mats, o, i, j)
+	base := int64(j) * kcm.Stride
+	parts := make([]kcm.Part, len(mats))
+	for i, m := range mats {
+		parts[i].M = m
+		if i == j {
+			continue
 		}
+		to := make([]int32, len(o[i]))
+		for k, c := range o[i] {
+			to[k] = -1
+			if c.Owner == j {
+				to[k] = int32(c.Label - base - 1)
+			}
+		}
+		parts[i].To = to
 	}
-	l.SortColRows()
+	l := kcm.Compose(parts, j, labels)
+	if invariant.Enabled {
+		checkLegs(mats, o, j, l)
+	}
 	return l
 }
 
-// pull adds mats[i]'s rows to processor j's L-matrix l with global
-// column labels: every row and entry when i == j (the slab), else only
-// the entries in columns j owns, dropping rows left empty (B_ij).
-func pull(l *kcm.Matrix, mats []*kcm.Matrix, o Ownership, i, j int) {
-	base := int64(i) * kcm.Stride
-	var buf []kcm.Entry
-	for _, r := range mats[i].Rows() {
-		buf = buf[:0]
-		for _, e := range r.Entries {
-			c := o[i][e.Col-base-1]
-			if i != j && c.Owner != j {
-				continue
-			}
-			e.Col = c.Label
-			buf = append(buf, e)
-		}
-		if i != j && len(buf) == 0 {
+// checkLegs asserts that the leg rows of processor j's L-matrix l,
+// which follow its own rows, hold for each processor i ≠ j exactly the
+// Sends(mats, o, i)[j] entries the model charges for shipping B_ij.
+func checkLegs(mats []*kcm.Matrix, o Ownership, j int, l *kcm.Matrix) {
+	legs := l.Rows()[len(mats[j].Rows()):]
+	for i, m := range mats {
+		if i == j {
 			continue
 		}
-		l.AddRow(&kcm.Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel, Entries: slices.Clone(buf)})
+		took := 0
+		for _, r := range m.Rows() {
+			if len(legs) > 0 && legs[0].ID == r.ID {
+				took += len(legs[0].Entries)
+				legs = legs[1:]
+			}
+		}
+		want := Sends(mats, o, i)[j]
+		invariant.Assert(took == want, "processor %d took %d entries of B_%d%d, charged %d", j, took, i, j, want)
 	}
+	invariant.Assert(len(legs) == 0, "processor %d holds %d leg rows from no processor", j, len(legs))
 }
 
 // Assemble builds every processor's L-shaped matrix from the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/gen"
 	"repro/internal/kcm"
 	"repro/internal/kernels"
@@ -45,7 +46,7 @@ func TestPropertyAssembleMatchesReference(t *testing.T) {
 			ls, exch := Assemble(mats, own)
 			for p := range mats {
 				checkOwnership(t, mats, own, ref, p)
-				checkSameMatrix(t, p, ls[p], refLs[p].M)
+				checkSameMatrix(t, p, ls[p], refLs[p].M, mats)
 			}
 			if !slices.EqualFunc(exch.Words, refExch.Words, slices.Equal[[]int]) {
 				t.Fatalf("words %v, reference %v", exch.Words, refExch.Words)
@@ -77,9 +78,12 @@ func checkOwnership(t *testing.T, mats []*kcm.Matrix, own Ownership, ref *refOwn
 }
 
 // checkSameMatrix requires got to equal want: rows in insertion order
-// with their labels, nodes, co-kernels and entries, and columns in
-// interning order with their labels, cubes and row lists.
-func checkSameMatrix(t *testing.T, p int, got, want *kcm.Matrix) {
+// with their labels, nodes, co-kernels and entries, columns in
+// interning order with their labels, cubes and row lists, and every
+// lookup a search or a division makes. Rows and columns are looked up
+// by every label of the partition matrices mats, so one the build
+// dropped cannot linger, and columns by every cube of mats.
+func checkSameMatrix(t *testing.T, p int, got, want *kcm.Matrix, mats []*kcm.Matrix) {
 	t.Helper()
 	gr, wr := got.Rows(), want.Rows()
 	if len(gr) != len(wr) {
@@ -89,6 +93,9 @@ func checkSameMatrix(t *testing.T, p int, got, want *kcm.Matrix) {
 		w := wr[i]
 		if r.ID != w.ID || r.Node != w.Node || !r.CoKernel.Equal(w.CoKernel) || !slices.Equal(r.Entries, w.Entries) {
 			t.Fatalf("proc %d row %d: %+v, reference %+v", p, i, *r, *w)
+		}
+		if got.Row(r.ID) != r {
+			t.Fatalf("proc %d: Row(%d) is not row %d", p, r.ID, i)
 		}
 	}
 	gc, wc := got.Cols(), want.Cols()
@@ -101,10 +108,39 @@ func checkSameMatrix(t *testing.T, p int, got, want *kcm.Matrix) {
 			t.Fatalf("proc %d column %d: %d %v %v, reference %d %v %v",
 				p, i, c.ID, c.Cube, c.RowIDs, w.ID, w.Cube, w.RowIDs)
 		}
+		if got.Col(c.ID) != c || got.ColByCube(c.Cube) != c {
+			t.Fatalf("proc %d: Col(%d) or ColByCube(%v) is not column %d", p, c.ID, c.Cube, i)
+		}
+	}
+	for _, m := range mats {
+		for _, r := range m.Rows() {
+			if (got.Row(r.ID) == nil) != (want.Row(r.ID) == nil) {
+				t.Fatalf("proc %d: Row(%d) is %v, reference %v", p, r.ID, got.Row(r.ID), want.Row(r.ID))
+			}
+		}
+		for _, c := range m.Cols() {
+			if (got.Col(c.ID) == nil) != (want.Col(c.ID) == nil) {
+				t.Fatalf("proc %d: Col(%d) is %v, reference %v", p, c.ID, got.Col(c.ID), want.Col(c.ID))
+			}
+			g, w := got.ColByCube(c.Cube), want.ColByCube(c.Cube)
+			if (g == nil) != (w == nil) || g != nil && g.ID != w.ID {
+				t.Fatalf("proc %d: ColByCube(%v) is %v, reference %v", p, c.Cube, g, w)
+			}
+		}
 	}
 	if got.NumEntries() != want.NumEntries() || got.MaxCubeID() != want.MaxCubeID() {
 		t.Fatalf("proc %d: %d entries max cube %d, reference %d %d",
 			p, got.NumEntries(), got.MaxCubeID(), want.NumEntries(), want.MaxCubeID())
+	}
+	if !slices.Equal(got.SortedColIDs(), want.SortedColIDs()) {
+		t.Fatalf("proc %d: sorted columns %v, reference %v", p, got.SortedColIDs(), want.SortedColIDs())
+	}
+	gi, wi := got.Index(), want.Index()
+	if !slices.Equal(gi.RowIDs, wi.RowIDs) || !slices.Equal(gi.ColIDs, wi.ColIDs) ||
+		!slices.EqualFunc(gi.RowRefs, wi.RowRefs, slices.Equal[[]int32]) ||
+		!slices.EqualFunc(gi.ColRows, wi.ColRows, slices.Equal[bitset.Set]) ||
+		gi.MaxRowLen != wi.MaxRowLen || gi.MaxCubeID != wi.MaxCubeID {
+		t.Fatalf("proc %d: dense index differs from the reference's", p)
 	}
 }
 
@@ -125,7 +161,7 @@ func TestOneProcessorPastStride(t *testing.T) {
 	}})
 	mats := []*kcm.Matrix{m}
 	ls, exch := Assemble(mats, Distribute(mats))
-	checkSameMatrix(t, 0, ls[0], m)
+	checkSameMatrix(t, 0, ls[0], m, mats)
 	if exch.Words[0][0] != 0 {
 		t.Fatalf("one processor shipped %d words to itself", exch.Words[0][0])
 	}

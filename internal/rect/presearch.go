@@ -41,7 +41,7 @@ type presearchRoot struct {
 // only the memo slots of the roots it took; a root whose value is zero
 // gets the empty entry run's loop would store. The freshness bits are
 // set after the fan-out.
-func (s *searcher) presearch(roots []int64) {
+func (s *searcher) presearch(roots []int) {
 	procs := runtime.GOMAXPROCS(0)
 	if procs < 2 {
 		return
@@ -49,12 +49,11 @@ func (s *searcher) presearch(roots []int64) {
 	listCap := s.listCap()
 	todo := s.sc.todo[:0]
 	before := 0
-	for _, c0 := range roots {
+	for _, dc := range roots {
 		if before > s.cfg.MaxVisits {
 			break
 		}
-		dc, ok := s.ix.ColPos(c0)
-		if !ok || len(s.ix.Cols[dc].RowIDs) == 0 {
+		if len(s.ix.Cols[dc].RowIDs) == 0 {
 			continue
 		}
 		if e := s.cover.memo.memoized(dc, listCap); e != nil {

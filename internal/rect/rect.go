@@ -32,7 +32,7 @@ package rect
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/analysis/invariant"
@@ -216,22 +216,15 @@ func (s *searcher) listCap() int { return max(s.topCap, 1) }
 // with no fresh memo entry are first searched concurrently by
 // presearch; the loop below then replays them like any other entry.
 func (s *searcher) run(leftmost []int64) {
-	roots := leftmost
-	if roots == nil {
-		roots = s.m.SortedColIDs()
-	} else {
-		roots = append([]int64(nil), roots...)
-		sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	}
+	roots := s.roots(leftmost)
 	if s.cover != nil {
 		s.cover.memo.beginSearch(s.ix, s.cfg)
 		if s.cfg.OnBest == nil {
 			s.presearch(roots)
 		}
 	}
-	for _, c0 := range roots {
-		dc, ok := s.ix.ColPos(c0)
-		if !ok || len(s.ix.Cols[dc].RowIDs) == 0 {
+	for _, dc := range roots {
+		if len(s.ix.Cols[dc].RowIDs) == 0 {
 			continue
 		}
 		if s.cover != nil {
@@ -250,6 +243,27 @@ func (s *searcher) run(leftmost []int64) {
 			s.cover.memo.store(dc, s.local, s.stats.Visits-visits, s.stats.Evals-evals, s.listCap())
 		}
 	}
+}
+
+// roots returns the dense positions of the permitted root columns in
+// ascending order, which is label order. With no leftmost set, that is
+// every position; otherwise each listed label that names a column.
+func (s *searcher) roots(leftmost []int64) []int {
+	roots := s.sc.roots[:0]
+	if leftmost == nil {
+		for dc := range s.ix.ColIDs {
+			roots = append(roots, dc)
+		}
+	} else {
+		for _, c0 := range leftmost {
+			if dc, ok := s.ix.ColPos(c0); ok {
+				roots = append(roots, dc)
+			}
+		}
+		slices.Sort(roots)
+	}
+	s.sc.roots = roots
+	return roots
 }
 
 // searchRoot enumerates the subtree of dense root column dc live,
@@ -594,7 +608,9 @@ type scratch struct {
 	// top and local keep the searcher's ranking buffers between
 	// searches; results never alias them.
 	top, local []Rect
-	// todo lists the roots of one presearch.
+	// roots lists the dense root columns of one search, and todo
+	// those of its presearch.
+	roots   []int
 	todo    []presearchRoot
 	rows    []bitset.Set // per depth: current row subset
 	cand    []bitset.Set // per depth: candidate extension columns
