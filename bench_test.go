@@ -153,26 +153,29 @@ func BenchmarkTable6LShaped(b *testing.B) {
 
 // BenchmarkFig1SearchSplit benchmarks the divide-and-conquer
 // rectangle search of Figure 1: the full search versus one worker's
-// root-column slice (of 4).
+// root-column slice (of 4). des has the largest matrix, so its case
+// shows what indexing the matrix costs.
 func BenchmarkFig1SearchSplit(b *testing.B) {
-	nw := benchCircuit(b, "misex3")
-	m := kcm.Build(context.Background(), nw, nw.NodeVars(), kernels.Options{})
-	cfg := rect.Config{MaxCols: 5, MaxVisits: 1 << 20}
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rect.Best(m, cfg, rect.WeightValuer)
-		}
-	})
-	b.Run("slice1of4", func(b *testing.B) {
-		b.ReportAllocs()
-		slices := rect.SplitColumns(m, 4)
-		c := cfg
-		c.LeftmostCols = slices[0]
-		for i := 0; i < b.N; i++ {
-			rect.Best(m, c, rect.WeightValuer)
-		}
-	})
+	for _, name := range []string{"misex3", "des"} {
+		nw := benchCircuit(b, name)
+		m := kcm.Build(context.Background(), nw, nw.NodeVars(), kernels.Options{})
+		cfg := rect.Config{MaxCols: 5, MaxVisits: 1 << 20}
+		b.Run(name+"/full", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rect.Best(m, cfg, rect.WeightValuer)
+			}
+		})
+		b.Run(name+"/slice1of4", func(b *testing.B) {
+			b.ReportAllocs()
+			slices := rect.SplitColumns(m, 4)
+			c := cfg
+			c.LeftmostCols = slices[0]
+			for i := 0; i < b.N; i++ {
+				rect.Best(m, c, rect.WeightValuer)
+			}
+		})
+	}
 }
 
 // BenchmarkFig2MatrixBuild benchmarks co-kernel cube matrix
@@ -343,19 +346,23 @@ func BenchmarkAblationWallclock(b *testing.B) {
 // ----------------------------------------------------- micro benches
 
 // BenchmarkKernelExtractCall times a single factorization call (one
-// matrix build plus greedy cover), the unit of Table 1's counts. The
-// circuit is generated once; each iteration factors a fresh copy made
-// with the timer stopped.
+// matrix build plus greedy cover), the unit of Table 1's counts, on
+// misex3 and on des, whose matrix is the largest. The circuit is
+// generated once; each iteration factors a fresh copy made with the
+// timer stopped.
 func BenchmarkKernelExtractCall(b *testing.B) {
 	opt := benchOpt()
-	src := benchCircuit(b, "misex3")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		nw := src.CloneDetached()
-		b.StartTimer()
-		extract.KernelExtract(context.Background(), nw, nil, extract.Options{Rect: opt.Rect, BatchK: opt.BatchK})
+	for _, name := range []string{"misex3", "des"} {
+		src := benchCircuit(b, name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				nw := src.CloneDetached()
+				b.StartTimer()
+				extract.KernelExtract(context.Background(), nw, nil, extract.Options{Rect: opt.Rect, BatchK: opt.BatchK})
+			}
+		})
 	}
 }
 

@@ -1,16 +1,13 @@
 // Package bitset implements fixed-width dense bit sets over []uint64
 // words, the substrate of the rectangle-search fast path: row subsets,
 // candidate-column masks and covered-cube sets are all bitsets, so the
-// set operations that dominate the Figure 1 enumeration (intersection,
-// membership, counting) compile to a handful of word instructions
-// instead of map traffic.
+// membership tests that dominate the Figure 1 enumeration compile to a
+// handful of word instructions instead of map traffic.
 //
 // A Set is a plain slice; callers that need maximum speed may range
 // over its words directly and extract bit positions with
 // math/bits.TrailingZeros64, which is what internal/rect does.
 package bitset
-
-import "math/bits"
 
 // Set is a dense bit set. Index i lives in word i/64 at bit i%64. The
 // methods never grow the slice; size it with New or Words at creation.
@@ -38,25 +35,5 @@ func (s Set) Clear(i int) { s[i>>6] &^= 1 << (uint(i) & 63) }
 func (s Set) Reset() {
 	for i := range s {
 		s[i] = 0
-	}
-}
-
-// Count returns the number of set bits.
-func (s Set) Count() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Copy overwrites s with src. The sets must have equal width.
-func (s Set) Copy(src Set) { copy(s, src) }
-
-// And stores a ∧ b into s. All three sets must have equal width; s may
-// alias a or b.
-func (s Set) And(a, b Set) {
-	for i := range s {
-		s[i] = a[i] & b[i]
 	}
 }

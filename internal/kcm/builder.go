@@ -93,7 +93,7 @@ func (b *Builder) AddFunction(v sop.Var, fn sop.Expr) int {
 }
 
 func (b *Builder) internColumn(cube sop.Cube) *Col {
-	if c := b.m.ColByCube(cube); c != nil {
+	if c := b.m.ColByCube(cube, kernels.HashCube(cube)); c != nil {
 		return c
 	}
 	b.colSeq++
@@ -202,18 +202,18 @@ func (t *cubeTable) grow() {
 func Merge(dst, src *Matrix) {
 	remap := map[int64]int64{}
 	for _, sc := range src.cols {
-		if dc := dst.colTab.lookup(sc.Cube); dc != nil {
+		if dc := dst.ColByCube(sc.Cube, sc.Hash); dc != nil {
 			if sc.ID < dc.ID {
 				// Relabel dst's column to the smaller id. Only the
 				// rows listed on the column carry an entry for it, so
 				// the relabel walks dc.RowIDs instead of every row.
-				delete(dst.colByID, dc.ID)
+				dst.colAt.set(dc.ID, nil)
 				oldID := dc.ID
 				dc.ID = sc.ID
-				dst.colByID[dc.ID] = dc
+				dst.colAt.set(dc.ID, dc)
 				dst.invalidate()
 				for _, rid := range dc.RowIDs {
-					relabelEntry(dst.rowByID[rid], oldID, dc.ID)
+					relabelEntry(dst.Row(rid), oldID, dc.ID)
 				}
 			}
 			remap[sc.ID] = dc.ID

@@ -58,14 +58,11 @@ func Compose(parts []Part, own int, labels []int64) *Matrix {
 	m := &Matrix{
 		rows:    make([]*Row, 0, nr),
 		cols:    make([]*Col, len(src.cols)),
-		rowByID: make(map[int64]*Row, nr),
-		colByID: make(map[int64]*Col, len(src.cols)),
 		entries: ne,
 	}
 	for k, c := range src.cols {
-		colSlab[k] = Col{ID: labels[k], Cube: c.Cube, pos: int32(k)}
+		colSlab[k] = Col{ID: labels[k], Cube: c.Cube, Hash: c.Hash, pos: int32(k)}
 		m.cols[k] = &colSlab[k]
-		m.colByID[labels[k]] = &colSlab[k]
 	}
 	m.colTab = src.colTab.remap(m.cols)
 
@@ -134,12 +131,15 @@ func (m *Matrix) firstLabel() int64 {
 	return m.cols[0].ID
 }
 
-// finish indexes the rows by id and gives every column its RowIDs from
-// one exact-size slab, then drops the derived views. rows holds every
-// row of the matrix in ascending id order, and colRefs the column
-// position of each of their entries, row after row (within a row, in
-// any order).
+// finish files the rows and columns by label, each band allocated once
+// at its exact length, gives every column its RowIDs from one
+// exact-size slab, then drops the derived views. rows holds every row
+// of the matrix in ascending id order, and colRefs the column position
+// of each of their entries, row after row (within a row, in any
+// order).
 func (m *Matrix) finish(rows []Row, colRefs []int32) {
+	m.rowAt.fill(m.rows, rowLabel)
+	m.colAt.fill(m.cols, colLabel)
 	counts := make([]int32, len(m.cols))
 	for _, cp := range colRefs {
 		counts[cp]++
@@ -156,7 +156,6 @@ func (m *Matrix) finish(rows []Row, colRefs []int32) {
 		if invariant.Enabled && i > 0 {
 			invariant.Assert(rows[i-1].ID < r.ID, "row %d follows row %d: RowIDs would not ascend", r.ID, rows[i-1].ID)
 		}
-		m.rowByID[r.ID] = r
 		for _, cp := range colRefs[cur : cur+len(r.Entries)] {
 			c := m.cols[cp]
 			c.RowIDs = append(c.RowIDs, r.ID)

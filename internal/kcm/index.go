@@ -1,21 +1,23 @@
 package kcm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/analysis/invariant"
-	"repro/internal/bitset"
 )
 
 // Index is the dense fast-path view of a Matrix that the rectangle
 // search runs on: rows and columns renumbered 0..n-1 in increasing
-// label order, per-column row bitsets, and per-row dense column
-// references aligned with Row.Entries.
+// label order, each column's dense rows as a list, and per-row dense
+// column references aligned with Row.Entries. It costs O(entries), not
+// O(rows × columns): the column lists share one slab of NumEntries.
 //
-// Dense positions follow label order, so iterating a column bitset in
-// ascending bit order reproduces exactly the increasing-label search
-// order of the Figure 1 enumeration — the property the §3 leftmost-
-// column decomposition and all tie-breaking depend on.
+// Dense positions follow label order, so walking a column's row list,
+// or a row bitset in ascending bit order, reproduces exactly the
+// increasing-label search order of the Figure 1 enumeration — the
+// property the §3 leftmost-column decomposition and all tie-breaking
+// depend on.
 //
 // An Index is a snapshot: it is built lazily by Matrix.Index, cached,
 // and dropped on any structural mutation. Callers must not mutate it.
@@ -28,9 +30,9 @@ type Index struct {
 	// position.
 	Rows []*Row
 	Cols []*Col
-	// ColRows[j] is the set of dense rows with an entry in dense
-	// column j.
-	ColRows []bitset.Set
+	// ColRows[j] lists, ascending, the dense rows with an entry in
+	// dense column j: Cols[j].RowIDs in dense numbering.
+	ColRows [][]int32
 	// RowRefs[i][k] is the dense column of Rows[i].Entries[k]. Since
 	// entries are sorted by label and dense order follows label
 	// order, each RowRefs[i] is ascending.
@@ -41,8 +43,10 @@ type Index struct {
 	// has more columns, since each of its rows holds all of them.
 	MaxRowLen int
 
-	rowPos map[int64]int32
-	colPos map[int64]int32
+	// m is the matrix the index snapshots, and dense maps each of its
+	// columns' Matrix position (Col.pos) to its dense position.
+	m     *Matrix
+	dense []int32
 }
 
 // Index returns the dense view of the matrix, building and caching it
@@ -56,32 +60,27 @@ func (m *Matrix) Index() *Index {
 	ix := &Index{
 		RowIDs:  make([]int64, nr),
 		ColIDs:  make([]int64, nc),
-		Rows:    make([]*Row, nr),
-		Cols:    make([]*Col, nc),
-		ColRows: make([]bitset.Set, nc),
+		Rows:    byLabel(m.rows, rowLabel),
+		Cols:    byLabel(m.cols, colLabel),
+		ColRows: make([][]int32, nc),
 		RowRefs: make([][]int32, nr),
-		rowPos:  make(map[int64]int32, nr),
-		colPos:  make(map[int64]int32, nc),
+		m:       m,
+		dense:   make([]int32, nc),
 
 		MaxCubeID: m.maxCubeID,
 	}
-	copy(ix.Rows, m.rows)
-	sort.Slice(ix.Rows, func(i, j int) bool { return ix.Rows[i].ID < ix.Rows[j].ID })
 	for i, r := range ix.Rows {
 		ix.RowIDs[i] = r.ID
-		ix.rowPos[r.ID] = int32(i)
 	}
-	copy(ix.Cols, m.cols)
-	sort.Slice(ix.Cols, func(i, j int) bool { return ix.Cols[i].ID < ix.Cols[j].ID })
+	// Each column's list is a slice of one slab, sized by its RowIDs,
+	// and filled in ascending dense row order below.
+	rows := make([]int32, m.entries)
 	for j, c := range ix.Cols {
 		ix.ColIDs[j] = c.ID
-		ix.colPos[c.ID] = int32(j)
-	}
-	// One backing allocation for the column bitsets.
-	colWords := bitset.Words(nr)
-	colBits := make(bitset.Set, nc*colWords)
-	for j := range ix.ColRows {
-		ix.ColRows[j] = colBits[j*colWords : (j+1)*colWords]
+		ix.dense[c.pos] = int32(j)
+		n := len(c.RowIDs)
+		ix.ColRows[j] = rows[:0:n]
+		rows = rows[n:]
 	}
 	refs := make([]int32, m.entries)
 	for i, r := range ix.Rows {
@@ -89,9 +88,9 @@ func (m *Matrix) Index() *Index {
 		ix.RowRefs[i] = refs[:len(r.Entries):len(r.Entries)]
 		refs = refs[len(r.Entries):]
 		for k, e := range r.Entries {
-			j := int(ix.colPos[e.Col])
-			ix.RowRefs[i][k] = int32(j)
-			ix.ColRows[j].Set(i)
+			j := ix.dense[m.colAt.get(e.Col).pos]
+			ix.RowRefs[i][k] = j
+			ix.ColRows[j] = append(ix.ColRows[j], int32(i))
 		}
 	}
 	if invariant.Enabled {
@@ -101,16 +100,25 @@ func (m *Matrix) Index() *Index {
 	return ix
 }
 
-// RowPos returns the dense position of row id.
-func (ix *Index) RowPos(id int64) (int, bool) {
-	p, ok := ix.rowPos[id]
-	return int(p), ok
+// byLabel returns items in ascending label order: items itself when it
+// already is, as a Patcher's rows and columns are, else a sorted copy.
+func byLabel[T any](items []*T, label func(*T) int64) []*T {
+	byID := func(a, b *T) int { return cmp.Compare(label(a), label(b)) }
+	if slices.IsSortedFunc(items, byID) {
+		return items[:len(items):len(items)]
+	}
+	sorted := slices.Clone(items)
+	slices.SortFunc(sorted, byID)
+	return sorted
 }
 
 // ColPos returns the dense position of column id.
 func (ix *Index) ColPos(id int64) (int, bool) {
-	p, ok := ix.colPos[id]
-	return int(p), ok
+	c := ix.m.Col(id)
+	if c == nil {
+		return 0, false
+	}
+	return int(ix.dense[c.pos]), true
 }
 
 // EntryAt returns, for dense row r, the position k in Rows[r].Entries

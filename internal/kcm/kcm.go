@@ -72,6 +72,10 @@ type Col struct {
 	ID int64
 	// Cube is the kernel cube all entries of this column share.
 	Cube sop.Cube
+	// Hash is kernels.HashCube(Cube), computed once when the column
+	// is made, so looking the cube up in another matrix (ColByCube)
+	// hashes nothing.
+	Hash uint64
 	// RowIDs lists the rows with an entry in this column, sorted.
 	RowIDs []int64
 	// unsorted is set when an AddRow appended a row id out of order;
@@ -92,10 +96,11 @@ type Col struct {
 //
 //repolint:invalidate invalidate
 type Matrix struct {
-	rows    []*Row
-	cols    []*Col
-	rowByID map[int64]*Row
-	colByID map[int64]*Col
+	rows []*Row
+	cols []*Col
+	// rowAt and colAt find rows and columns by label.
+	rowAt labelTable[Row]
+	colAt labelTable[Col]
 	// colTab interns columns by cube without materializing string
 	// keys: an open-addressing table over the shared kernel-cube hash.
 	colTab  colTable
@@ -118,12 +123,7 @@ func (m *Matrix) invalidate() {
 }
 
 // NewMatrix returns an empty matrix.
-func NewMatrix() *Matrix {
-	return &Matrix{
-		rowByID: map[int64]*Row{},
-		colByID: map[int64]*Col{},
-	}
-}
+func NewMatrix() *Matrix { return &Matrix{} }
 
 // Rows returns the rows in insertion order (read-only).
 func (m *Matrix) Rows() []*Row { return m.rows }
@@ -132,13 +132,15 @@ func (m *Matrix) Rows() []*Row { return m.rows }
 func (m *Matrix) Cols() []*Col { return m.cols }
 
 // Row returns the row labeled id, or nil.
-func (m *Matrix) Row(id int64) *Row { return m.rowByID[id] }
+func (m *Matrix) Row(id int64) *Row { return m.rowAt.get(id) }
 
 // Col returns the column labeled id, or nil.
-func (m *Matrix) Col(id int64) *Col { return m.colByID[id] }
+func (m *Matrix) Col(id int64) *Col { return m.colAt.get(id) }
 
-// ColByCube returns the column holding the given kernel cube, or nil.
-func (m *Matrix) ColByCube(c sop.Cube) *Col { return m.colTab.lookup(c) }
+// ColByCube returns the column holding kernel cube c, whose
+// kernels.HashCube is h, or nil. Every column carries its cube's hash
+// (Col.Hash), so probing with another matrix's column hashes nothing.
+func (m *Matrix) ColByCube(c sop.Cube, h uint64) *Col { return m.colTab.lookupHashed(h, c) }
 
 // NumEntries returns the number of non-zero elements.
 func (m *Matrix) NumEntries() int { return m.entries }
@@ -173,14 +175,16 @@ func (m *Matrix) SortedColIDs() []int64 {
 func (m *Matrix) MaxCubeID() int64 { return m.maxCubeID }
 
 // InternColumn returns the column for cube, creating it with the
-// given id on first sight. An existing column keeps its original id.
+// given id (at least 1) on first sight. An existing column keeps its
+// original id.
 func (m *Matrix) InternColumn(cube sop.Cube, id int64) *Col {
 	return m.internCol(cube, id)
 }
 
-// AddRow inserts a fully-formed row whose entries refer to already
-// interned column ids, wiring the column back-references. Callers
-// inserting many rows should call SortColRows afterwards.
+// AddRow inserts a fully-formed row, labeled at least 1, whose entries
+// refer to already interned column ids, wiring the column
+// back-references. Callers inserting many rows should call SortColRows
+// afterwards.
 func (m *Matrix) AddRow(r *Row) {
 	m.addRow(r)
 }
@@ -198,10 +202,10 @@ func (m *Matrix) internCol(cube sop.Cube, id int64) *Col {
 	if c := m.colTab.lookupHashed(h, cube); c != nil {
 		return c
 	}
-	c := &Col{ID: id, Cube: cube, pos: int32(len(m.cols))}
+	c := &Col{ID: id, Cube: cube, Hash: h, pos: int32(len(m.cols))}
 	m.cols = append(m.cols, c)
 	m.colTab.insert(h, c)
-	m.colByID[id] = c
+	m.colAt.set(id, c)
 	m.invalidate()
 	return c
 }
@@ -211,9 +215,9 @@ func (m *Matrix) internCol(cube sop.Cube, id int64) *Col {
 func (m *Matrix) addRow(r *Row) {
 	slices.SortFunc(r.Entries, compareEntries)
 	m.rows = append(m.rows, r)
-	m.rowByID[r.ID] = r
+	m.rowAt.set(r.ID, r)
 	for _, e := range r.Entries {
-		col := m.colByID[e.Col]
+		col := m.colAt.get(e.Col)
 		if n := len(col.RowIDs); n > 0 && col.RowIDs[n-1] > r.ID {
 			col.unsorted = true
 		}
@@ -252,11 +256,8 @@ type colTable struct {
 	n     int
 }
 
-// lookup returns the column holding cube c, or nil.
-func (t *colTable) lookup(c sop.Cube) *Col {
-	return t.lookupHashed(kernels.HashCube(c), c)
-}
-
+// lookupHashed returns the column holding cube c, whose hash is h, or
+// nil.
 func (t *colTable) lookupHashed(h uint64, c sop.Cube) *Col {
 	if len(t.slots) == 0 {
 		return nil

@@ -215,7 +215,7 @@ func TestMergeOrderIndependentLabels(t *testing.T) {
 	Merge(y, b0)
 	// Same column labels per cube either way.
 	for _, c := range x.Cols() {
-		yc := y.ColByCube(c.Cube)
+		yc := y.ColByCube(c.Cube, c.Hash)
 		if yc == nil || yc.ID != c.ID {
 			t.Fatalf("column %v labeled %d vs %v", c.Cube, c.ID, yc)
 		}

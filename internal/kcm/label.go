@@ -1,0 +1,69 @@
+package kcm
+
+import "slices"
+
+// labelTable finds the row or column a label names with two slice
+// reads instead of a hash. Every label is a processor's offset plus a
+// sequence number (§5.2), so label l sits in band (l−1)/Stride at slot
+// (l−1)%Stride; a label that runs past Stride lands in the next band
+// and still works. A label below 1, in a band the table lacks, past
+// its band's end or in a slot no label filled reads as absent (nil).
+type labelTable[T any] struct {
+	bands [][]*T
+}
+
+func rowLabel(r *Row) int64 { return r.ID }
+
+func colLabel(c *Col) int64 { return c.ID }
+
+// place returns the band and slot of label l ≥ 1.
+func place(l int64) (band, slot int64) { return (l - 1) / Stride, (l - 1) % Stride }
+
+// get returns the element labeled l, or nil.
+func (t *labelTable[T]) get(l int64) *T {
+	if l < 1 {
+		return nil
+	}
+	b, s := place(l)
+	if b >= int64(len(t.bands)) || s >= int64(len(t.bands[b])) {
+		return nil
+	}
+	return t.bands[b][s]
+}
+
+// set files v under label l ≥ 1, or empties l's slot when v is nil,
+// growing l's band as appending would.
+func (t *labelTable[T]) set(l int64, v *T) {
+	b, s := place(l)
+	if b >= int64(len(t.bands)) {
+		t.bands = append(t.bands, make([][]*T, b+1-int64(len(t.bands)))...)
+	}
+	if band := t.bands[b]; s >= int64(len(band)) {
+		t.bands[b] = slices.Grow(band, int(s)+1-len(band))[:s+1]
+	}
+	t.bands[b][s] = v
+}
+
+// fill files every element of items, labeled by label, into an empty
+// table. One pass finds each band's last slot, so every band is
+// allocated once at its exact length.
+func (t *labelTable[T]) fill(items []*T, label func(*T) int64) {
+	var n []int64
+	for _, it := range items {
+		b, s := place(label(it))
+		if b >= int64(len(n)) {
+			n = append(n, make([]int64, b+1-int64(len(n)))...)
+		}
+		n[b] = max(n[b], s+1)
+	}
+	t.bands = make([][]*T, len(n))
+	for b := range n {
+		if n[b] > 0 {
+			t.bands[b] = make([]*T, n[b])
+		}
+	}
+	for _, it := range items {
+		b, s := place(label(it))
+		t.bands[b][s] = it
+	}
+}

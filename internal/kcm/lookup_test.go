@@ -1,0 +1,233 @@
+package kcm_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/kcm"
+	"repro/internal/kernels"
+	"repro/internal/lshape"
+	"repro/internal/partition"
+	"repro/internal/sop"
+)
+
+// lookupCase is one matrix whose label lookups and dense index the
+// tests below check.
+type lookupCase struct {
+	name string
+	m    *kcm.Matrix
+}
+
+// lookupCases returns the three kinds of matrix the lookups serve: a
+// Patcher matrix; Compose's L-matrices at p=3 and p=6, whose legs
+// leave gaps in every band but their own; and matrices built with
+// InternColumn and AddRow, one with gaps and missing bands, one whose
+// labels run past Stride.
+func lookupCases(t *testing.T) []lookupCase {
+	t.Helper()
+	nw, err := gen.Benchmark("misex3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []lookupCase{{
+		name: "patcher/proc2",
+		m:    kcm.NewPatcher(2, kernels.Options{}).Rebuild(context.Background(), nw, nw.NodeVars(), 1),
+	}}
+	for _, p := range []int{3, 6} {
+		mats := lshape.BuildMatrices(nw, partition.KWay(nw, nil, p, partition.Options{}), kernels.Options{})
+		own := lshape.Distribute(mats)
+		for j := range mats {
+			cases = append(cases, lookupCase{fmt.Sprintf("compose/p%d/proc%d", p, j), lshape.AssembleProc(mats, own, j)})
+		}
+	}
+
+	// Rows in bands 0, 1 and 3 and columns in bands 0 and 1, each
+	// band with unfilled slots; band 2 holds neither.
+	gaps := kcm.NewMatrix()
+	colLabels := []int64{2, 5, kcm.Stride, kcm.Stride + 1, kcm.Stride + 4}
+	for k, l := range colLabels {
+		gaps.InternColumn(sop.Cube{sop.Pos(sop.Var(k))}, l)
+	}
+	cube := int64(0)
+	for _, id := range []int64{1, 3, kcm.Stride + 2, 3*kcm.Stride + 1} {
+		r := &kcm.Row{ID: id}
+		for k, l := range colLabels {
+			if (int(id)+k)%2 == 0 {
+				cube++
+				r.Entries = append(r.Entries, kcm.Entry{Col: l, CubeID: cube, Weight: 2})
+			}
+		}
+		gaps.AddRow(r)
+	}
+	gaps.SortColRows()
+	cases = append(cases, lookupCase{"addrow/gaps", gaps})
+
+	// One processor's labels running past Stride into band 1.
+	past := kcm.NewMatrix()
+	n := int64(kcm.Stride + 3)
+	for l := int64(1); l <= n; l++ {
+		past.InternColumn(sop.Cube{sop.Pos(sop.Var(l))}, l)
+	}
+	for _, id := range []int64{1, kcm.Stride - 1, kcm.Stride, kcm.Stride + 2} {
+		past.AddRow(&kcm.Row{ID: id, Entries: []kcm.Entry{
+			{Col: 1, CubeID: id, Weight: 2},
+			{Col: kcm.Stride + 1, CubeID: n + id, Weight: 2},
+			{Col: n, CubeID: 2*n + id, Weight: 2},
+		}})
+	}
+	past.SortColRows()
+	cases = append(cases, lookupCase{"addrow/past-stride", past})
+	return cases
+}
+
+// Kinds of probed label, by where the label falls relative to the
+// matrix's labels of one kind (rows or columns).
+const (
+	kindPresent     = "present"
+	kindBelowOne    = "below 1"
+	kindMissingBand = "in a missing band"
+	kindPastEnd     = "past a band's end"
+	kindUnfilled    = "in an unfilled slot"
+)
+
+// classify names the kind of label l among the present labels, whose
+// first and last label per band are lo and hi.
+func classify(l int64, present map[int64]bool, lo, hi map[int64]int64) string {
+	switch {
+	case l < 1:
+		return kindBelowOne
+	case present[l]:
+		return kindPresent
+	}
+	b := (l - 1) / kcm.Stride
+	switch _, ok := hi[b]; {
+	case !ok:
+		return kindMissingBand
+	case l > hi[b]:
+		return kindPastEnd
+	}
+	return kindUnfilled
+}
+
+// probes returns the labels to look up among labels: each label and
+// its neighbours, both ends of every band present and of the next,
+// labels below 1 and labels far past every band.
+func probes(labels []int64) []int64 {
+	out := []int64{math.MinInt64, -kcm.Stride, -1, 0, 9*kcm.Stride + 7, math.MaxInt64}
+	for _, l := range labels {
+		b := (l - 1) / kcm.Stride
+		out = append(out, l-1, l, l+1, b*kcm.Stride, b*kcm.Stride+1, (b+1)*kcm.Stride, (b+1)*kcm.Stride+1, (b+2)*kcm.Stride+1)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// bandEnds returns the first and last label of each band present.
+func bandEnds(labels []int64) (present map[int64]bool, lo, hi map[int64]int64) {
+	present, lo, hi = map[int64]bool{}, map[int64]int64{}, map[int64]int64{}
+	for _, l := range labels {
+		present[l] = true
+		b := (l - 1) / kcm.Stride
+		if v, ok := lo[b]; !ok || l < v {
+			lo[b] = l
+		}
+		hi[b] = max(hi[b], l)
+	}
+	return present, lo, hi
+}
+
+// TestLabelLookups probes Row, Col and Index.ColPos with present
+// labels and with absent ones of every kind: below 1, in a band the
+// matrix lacks, past a band's end, and in a slot inside a band that no
+// label filled. Each must find exactly the row or column the matrix
+// lists under that label, and nothing for an absent one.
+func TestLabelLookups(t *testing.T) {
+	seen := map[string]map[string]int{"row": {}, "col": {}}
+	for _, tc := range lookupCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			ix := m.Index()
+			rows, cols := map[int64]*kcm.Row{}, map[int64]*kcm.Col{}
+			var rowLabels, colLabels []int64
+			for _, r := range m.Rows() {
+				rows[r.ID] = r
+				rowLabels = append(rowLabels, r.ID)
+			}
+			for _, c := range m.Cols() {
+				cols[c.ID] = c
+				colLabels = append(colLabels, c.ID)
+			}
+			dense := map[int64]int{}
+			for j, l := range ix.ColIDs {
+				dense[l] = j
+			}
+
+			present, lo, hi := bandEnds(rowLabels)
+			for _, l := range probes(rowLabels) {
+				kind := classify(l, present, lo, hi)
+				seen["row"][kind]++
+				if got := m.Row(l); got != rows[l] {
+					t.Fatalf("Row(%d), %s: got %v, want %v", l, kind, got, rows[l])
+				}
+			}
+			present, lo, hi = bandEnds(colLabels)
+			for _, l := range probes(colLabels) {
+				kind := classify(l, present, lo, hi)
+				seen["col"][kind]++
+				if got := m.Col(l); got != cols[l] {
+					t.Fatalf("Col(%d), %s: got %v, want %v", l, kind, got, cols[l])
+				}
+				want, ok := dense[l]
+				if got, gotOK := ix.ColPos(l); gotOK != ok || got != want {
+					t.Fatalf("ColPos(%d), %s: got %d %v, want %d %v", l, kind, got, gotOK, want, ok)
+				}
+			}
+		})
+	}
+	for _, what := range []string{"row", "col"} {
+		for _, kind := range []string{kindPresent, kindBelowOne, kindMissingBand, kindPastEnd, kindUnfilled} {
+			if seen[what][kind] == 0 {
+				t.Errorf("no %s label probed %s", what, kind)
+			}
+		}
+	}
+}
+
+// TestIndexColRows requires each column's dense row list to be its
+// RowIDs in dense numbering, ascending, and the lists to hold one row
+// per matrix entry.
+func TestIndexColRows(t *testing.T) {
+	for _, tc := range lookupCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := tc.m.Index()
+			if len(ix.ColRows) != len(ix.Cols) {
+				t.Fatalf("%d row lists for %d columns", len(ix.ColRows), len(ix.Cols))
+			}
+			total := 0
+			for j, c := range ix.Cols {
+				want := make([]int32, len(c.RowIDs))
+				for k, id := range c.RowIDs {
+					i, ok := slices.BinarySearch(ix.RowIDs, id)
+					if !ok {
+						t.Fatalf("column %d lists row %d, which the index lacks", c.ID, id)
+					}
+					want[k] = int32(i)
+				}
+				if !slices.Equal(ix.ColRows[j], want) {
+					t.Fatalf("column %d: ColRows %v, RowIDs in dense rows %v", c.ID, ix.ColRows[j], want)
+				}
+				if !slices.IsSorted(ix.ColRows[j]) {
+					t.Fatalf("column %d: ColRows %v not ascending", c.ID, ix.ColRows[j])
+				}
+				total += len(ix.ColRows[j])
+			}
+			if total != tc.m.NumEntries() {
+				t.Fatalf("column lists hold %d rows for %d entries", total, tc.m.NumEntries())
+			}
+		})
+	}
+}

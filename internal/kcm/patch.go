@@ -351,7 +351,6 @@ func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 
 	m := NewMatrix()
 	m.rows = make([]*Row, 0, totalRows)
-	m.rowByID = make(map[int64]*Row, totalRows)
 	rowSlab := make([]Row, totalRows)
 	entrySlab := make([]Entry, totalEntries)
 	// colRefs records, aligned with entrySlab *insertion* order, the
@@ -378,10 +377,9 @@ func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 				col := m.colTab.lookupHashed(e.colHash, e.col)
 				if col == nil {
 					colSeq++
-					col = &Col{ID: colSeq, Cube: e.col, pos: int32(len(m.cols))}
+					col = &Col{ID: colSeq, Cube: e.col, Hash: e.colHash, pos: int32(len(m.cols))}
 					m.cols = append(m.cols, col)
 					m.colTab.insert(e.colHash, col)
-					m.colByID[colSeq] = col
 				}
 				if e.ord < 0 {
 					continue

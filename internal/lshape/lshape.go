@@ -53,9 +53,10 @@ type ExchangeStats struct {
 // Resolve returns processor p's slice of the ownership. A column's
 // cube belongs to the lowest-numbered processor whose matrix has it,
 // so p probes only mats[0..p-1]; they are read through ColByCube
-// alone, and workers may resolve concurrently once every matrix is
-// built. The matrices must be Patcher-built: Resolve panics if a
-// column of mats[p] is not labeled by its position (see
+// alone, with the hash each column carries, so no cube is hashed, and
+// workers may resolve concurrently once every matrix is built. The
+// matrices must be Patcher-built: Resolve panics if a column of
+// mats[p] is not labeled by its position (see
 // kcm.Patcher.Assemble), since AssembleProc finds an entry's column
 // from its label.
 func Resolve(mats []*kcm.Matrix, p int) []Column {
@@ -68,7 +69,7 @@ func Resolve(mats []*kcm.Matrix, p int) []Column {
 		}
 		out[k] = Column{Label: c.ID, Owner: p}
 		for i := range p {
-			if oc := mats[i].ColByCube(c.Cube); oc != nil {
+			if oc := mats[i].ColByCube(c.Cube, c.Hash); oc != nil {
 				out[k] = Column{Label: oc.ID, Owner: i}
 				break
 			}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/gen"
 	"repro/internal/kcm"
 	"repro/internal/kernels"
@@ -108,7 +107,7 @@ func checkSameMatrix(t *testing.T, p int, got, want *kcm.Matrix, mats []*kcm.Mat
 			t.Fatalf("proc %d column %d: %d %v %v, reference %d %v %v",
 				p, i, c.ID, c.Cube, c.RowIDs, w.ID, w.Cube, w.RowIDs)
 		}
-		if got.Col(c.ID) != c || got.ColByCube(c.Cube) != c {
+		if got.Col(c.ID) != c || got.ColByCube(c.Cube, c.Hash) != c {
 			t.Fatalf("proc %d: Col(%d) or ColByCube(%v) is not column %d", p, c.ID, c.Cube, i)
 		}
 	}
@@ -122,7 +121,7 @@ func checkSameMatrix(t *testing.T, p int, got, want *kcm.Matrix, mats []*kcm.Mat
 			if (got.Col(c.ID) == nil) != (want.Col(c.ID) == nil) {
 				t.Fatalf("proc %d: Col(%d) is %v, reference %v", p, c.ID, got.Col(c.ID), want.Col(c.ID))
 			}
-			g, w := got.ColByCube(c.Cube), want.ColByCube(c.Cube)
+			g, w := got.ColByCube(c.Cube, c.Hash), want.ColByCube(c.Cube, c.Hash)
 			if (g == nil) != (w == nil) || g != nil && g.ID != w.ID {
 				t.Fatalf("proc %d: ColByCube(%v) is %v, reference %v", p, c.Cube, g, w)
 			}
@@ -138,7 +137,7 @@ func checkSameMatrix(t *testing.T, p int, got, want *kcm.Matrix, mats []*kcm.Mat
 	gi, wi := got.Index(), want.Index()
 	if !slices.Equal(gi.RowIDs, wi.RowIDs) || !slices.Equal(gi.ColIDs, wi.ColIDs) ||
 		!slices.EqualFunc(gi.RowRefs, wi.RowRefs, slices.Equal[[]int32]) ||
-		!slices.EqualFunc(gi.ColRows, wi.ColRows, slices.Equal[bitset.Set]) ||
+		!slices.EqualFunc(gi.ColRows, wi.ColRows, slices.Equal[[]int32]) ||
 		gi.MaxRowLen != wi.MaxRowLen || gi.MaxCubeID != wi.MaxCubeID {
 		t.Fatalf("proc %d: dense index differs from the reference's", p)
 	}

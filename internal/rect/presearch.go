@@ -53,7 +53,7 @@ func (s *searcher) presearch(roots []int) {
 		if before > s.cfg.MaxVisits {
 			break
 		}
-		if len(s.ix.Cols[dc].RowIDs) == 0 {
+		if len(s.ix.ColRows[dc]) == 0 {
 			continue
 		}
 		if e := s.cover.memo.memoized(dc, listCap); e != nil {

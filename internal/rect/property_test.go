@@ -232,7 +232,7 @@ func TestPropertyGreedyCoverMatchesReference(t *testing.T) {
 					}
 					cfg := ref
 					cfg.Cover = cover
-					if cover.memo.ix != nil && cover.memo.fresh.Count() > 0 {
+					if anyFresh(cover) {
 						bestFresh++
 					}
 					gotBest, gotBestStats := Best(m, cfg, nil)

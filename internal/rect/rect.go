@@ -10,7 +10,8 @@
 // processors — exactly the paper's divide-and-conquer decomposition.
 //
 // The searcher runs on the dense index of internal/kcm: the row
-// subset at each node is one bitset AND, candidate extensions are
+// subset at each node is a bitset holding the rows of the node's last
+// column's row list that its parent holds, candidate extensions are
 // found by scanning the surviving rows' dense entry references, and
 // all per-visit scratch comes from a pooled arena, so a search visit
 // allocates nothing. Dense column order equals label order, which
@@ -224,7 +225,7 @@ func (s *searcher) run(leftmost []int64) {
 		}
 	}
 	for _, dc := range roots {
-		if len(s.ix.Cols[dc].RowIDs) == 0 {
+		if len(s.ix.ColRows[dc]) == 0 {
 			continue
 		}
 		if s.cover != nil {
@@ -283,14 +284,15 @@ func (s *searcher) searchRoot(dc int) {
 // enumerate searches the subtree of dense root column dc, whose root
 // value is non-zero, adding its ranked candidates to s.local.
 func (s *searcher) enumerate(dc int) {
-	if rows := s.ix.Cols[dc].RowIDs; len(rows) == 1 {
-		r, _ := s.ix.RowPos(rows[0])
-		if s.countSubtree(r, dc, 1) {
-			return
-		}
+	rows := s.ix.ColRows[dc]
+	if len(rows) == 1 && s.countSubtree(int(rows[0]), dc, 1) {
+		return
 	}
 	sc := s.sc
-	sc.rows[0].Copy(s.ix.ColRows[dc])
+	sc.rows[0].Reset()
+	for _, r := range rows {
+		sc.rows[0].Set(int(r))
+	}
 	sc.cols[0] = s.ix.ColIDs[dc]
 	sc.dcols[0] = dc
 	sc.kcost[0] = s.ix.Cols[dc].Cube.Weight()
@@ -359,13 +361,9 @@ func (s *searcher) checkReplay(dc int, e *rootMemo, cands []Rect) {
 // full row set.
 func (s *searcher) rootValue(dc int) int {
 	total := 0
-	for wi, w := range s.ix.ColRows[dc] {
-		for w != 0 {
-			r := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if k := s.ix.EntryAt(r, dc); k >= 0 {
-				total += s.value(s.ix.Rows[r].Entries[k])
-			}
+	for _, r := range s.ix.ColRows[dc] {
+		if k := s.ix.EntryAt(int(r), dc); k >= 0 {
+			total += s.value(s.ix.Rows[r].Entries[k])
 		}
 	}
 	return total
@@ -431,8 +429,9 @@ func (s *searcher) recurse(depth int) {
 		}
 	}
 	// Walk candidates in increasing label order (== dense order) for
-	// determinism. The row subset for an extension is one AND, unless
-	// its only row makes it a subtree to count.
+	// determinism. The row subset for an extension holds the rows of
+	// its column's list that this node holds, unless its only row
+	// makes it a subtree to count.
 	for wi, w := range cand {
 		for w != 0 {
 			dc := wi<<6 + bits.TrailingZeros64(w)
@@ -444,7 +443,12 @@ func (s *searcher) recurse(depth int) {
 				continue
 			}
 			sub := sc.rows[depth]
-			sub.And(rows, ix.ColRows[dc])
+			sub.Reset()
+			for _, r := range ix.ColRows[dc] {
+				if rows.Test(int(r)) {
+					sub.Set(int(r))
+				}
+			}
 			sc.cols[depth] = ix.ColIDs[dc]
 			sc.dcols[depth] = dc
 			sc.kcost[depth] = sc.kcost[depth-1] + ix.Cols[dc].Cube.Weight()

@@ -18,9 +18,9 @@ package sop
 // double up to a cap as the arena grows, so kernel-heavy nodes settle
 // on a few large chunks.
 const (
-	arenaFirstLits  = 256
+	arenaFirstLits  = 64
 	arenaMaxLits    = 8192
-	arenaFirstCubes = 64
+	arenaFirstCubes = 16
 	arenaMaxCubes   = 2048
 )
 
