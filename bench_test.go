@@ -366,6 +366,27 @@ func BenchmarkKernelExtractCall(b *testing.B) {
 	}
 }
 
+// BenchmarkRepeat times extract.Repeat, the 3–4 factorization calls
+// of one circuit: each call after the first assembles its matrix,
+// dense index and Cover memo in the storage of the call before, which
+// BenchmarkKernelExtractCall's single call cannot show. Each iteration
+// factors a fresh copy made with the timer stopped.
+func BenchmarkRepeat(b *testing.B) {
+	opt := benchOpt()
+	for _, name := range []string{"misex3", "dalu", "des"} {
+		src := benchCircuit(b, name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				nw := src.CloneDetached()
+				b.StartTimer()
+				extract.Repeat(context.Background(), nw, nil, extract.Options{Rect: opt.Rect, BatchK: opt.BatchK})
+			}
+		})
+	}
+}
+
 func tablesKWay(nw *network.Network, p int) [][]sop.Var {
 	return partition.KWay(nw, nil, p, partition.Options{})
 }

@@ -48,14 +48,15 @@ func LShaped(ctx context.Context, nw *network.Network, p int, opt Options) RunRe
 	res := RunResult{Algorithm: "lshaped", P: p}
 
 	parts := partition.KWay(nw, nil, p, opt.Partition)
-	// Per-worker incremental patchers: worker w's matrix labels come
-	// from proc w, so each slot owns a patcher constructed with its
-	// index, and only that slot's goroutine ever touches it (its own
-	// divisions and the forwarded ones both run on the owner).
-	// Redistribution after a failure shifts slot indices — and with
-	// them label offsets — so the patchers are rebuilt from scratch
-	// then: correctness is unaffected, only the cache is lost.
-	pats := newPatchers(p, opt.Kernel)
+	// Per-worker slots: worker w's matrix labels come from proc w, so
+	// each slot owns a patcher constructed with its index, its L-matrix
+	// storage and its banned Cover, and only that slot's goroutine ever
+	// touches them (its own divisions and the forwarded ones both run
+	// on the owner). Redistribution after a failure shifts slot indices
+	// — and with them label offsets — so the slots are rebuilt from
+	// scratch then: correctness is unaffected, only the cache and the
+	// storage are lost.
+	slots := newSlots(p, opt.Kernel)
 	// failBudget bounds in-driver recovery: each lost worker costs
 	// one unit, and a run that keeps losing workers past it stops
 	// retrying and reports Failure instead of looping.
@@ -67,7 +68,7 @@ func LShaped(ctx context.Context, nw *network.Network, p int, opt Options) RunRe
 		}
 		res.Calls++
 		mc.SetParticipants(len(parts))
-		extracted, dnf, cancelled, failed, failure := lshapedCall(ctx, nw, parts, opt, mc, pats)
+		extracted, dnf, cancelled, failed, failure := lshapedCall(ctx, nw, parts, opt, mc, slots)
 		res.Extracted += extracted
 		if failure != nil {
 			failBudget -= len(failed)
@@ -80,10 +81,10 @@ func LShaped(ctx context.Context, nw *network.Network, p int, opt Options) RunRe
 			parts = redistribute(parts, failed)
 			// Bank the lost generation's counters, then start fresh:
 			// the surviving slots' label offsets changed.
-			for _, pt := range pats {
-				res.Build.Add(pt.Stats())
+			for _, sl := range slots {
+				res.Build.Add(sl.pat.Stats())
 			}
-			pats = newPatchers(len(parts), opt.Kernel)
+			slots = newSlots(len(parts), opt.Kernel)
 			mc.ClearAbort()
 			continue
 		}
@@ -105,20 +106,30 @@ func LShaped(ctx context.Context, nw *network.Network, p int, opt Options) RunRe
 	res.TotalWork = mc.TotalWork()
 	res.Barriers = mc.Barriers()
 	res.WallClock = time.Since(start)
-	for _, pt := range pats {
-		res.Build.Add(pt.Stats())
+	for _, sl := range slots {
+		res.Build.Add(sl.pat.Stats())
 	}
 	return res
 }
 
-// newPatchers returns one incremental matrix patcher per worker slot,
-// each labeling from its slot's §5.2 offset.
-func newPatchers(n int, opts kernels.Options) []*kcm.Patcher {
-	ps := make([]*kcm.Patcher, n)
-	for i := range ps {
-		ps[i] = kcm.NewPatcher(i, opts)
+// slot is what one worker slot keeps across L-shaped calls: its
+// incremental matrix patcher, labeling from the slot's §5.2 offset, the
+// L-matrix of its last call, whose storage the next call's assembly
+// refills, and its banned Cover, which each call resets onto its new
+// L-matrix.
+type slot struct {
+	pat    *kcm.Patcher
+	l      *kcm.Matrix
+	banned *rect.Cover
+}
+
+// newSlots returns n empty worker slots.
+func newSlots(n int, opts kernels.Options) []slot {
+	ss := make([]slot, n)
+	for i := range ss {
+		ss[i] = slot{pat: kcm.NewPatcher(i, opts), banned: new(rect.Cover)}
 	}
-	return ps
+	return ss
 }
 
 // redistribute drops the failed workers' slots and appends their
@@ -191,7 +202,7 @@ func (q *fwdQueue) drain() []fwdMsg {
 // are charged inside their closures.
 //
 //repolint:allow vtimecharge -- coordinator-side SetOwnerCheck runs before the workers start; every worker-side state-table touch is charged in its own closure
-func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, opt Options, mc *vtime.Machine, pats []*kcm.Patcher) (int, bool, bool, []int, error) {
+func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, opt Options, mc *vtime.Machine, slots []slot) (int, bool, bool, []int, error) {
 	p := len(parts)
 	ownerOf := map[sop.Var]int{}
 	for w, part := range parts {
@@ -230,9 +241,10 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 		wg.Add(1)
 		body := func(w int) {
 			usedNodes[w] = map[sop.Var]bool{}
-			// pw is this worker's own patcher; no other goroutine
-			// touches it.
-			pw := pats[w]
+			// sl is this worker's own slot, and pw its patcher; no
+			// other goroutine touches them.
+			sl := &slots[w]
+			pw := sl.pat
 
 			// Phase 1: build this partition's matrix with offset
 			// labels (concurrent, read-only on the network),
@@ -273,7 +285,8 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 					mc.ChargeSend(w, j, n)
 				}
 			}
-			l := lshape.AssembleProc(mats, own, w)
+			l := lshape.AssembleProc(mats, own, w, sl.l)
+			sl.l = l
 			if !mc.Barrier(w) {
 				return
 			}
@@ -300,8 +313,10 @@ func lshapedCall(ctx context.Context, nw *network.Network, parts [][]sop.Var, op
 			// (seen is its cursor into the log). A peer may still
 			// write during the search, so the search reads possibly
 			// stale values, as a live search does; Claim settles
-			// conflicts.
-			banned := rect.NewCover(l)
+			// conflicts. The slot's Cover is reset onto this call's
+			// L-matrix, its storage refilled.
+			banned := sl.banned
+			banned.Reset(l)
 			seen := 0
 			//repolint:allow vtimecharge -- runs only in the invariants build's replay check, which the model does not price
 			banned.Quiet = func() bool { return !st.Pending(w, seen) }

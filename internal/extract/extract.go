@@ -112,13 +112,15 @@ type Result struct {
 // promptly with Result.Cancelled set and the network function-
 // equivalent to its input (every completed extraction preserves it).
 func KernelExtract(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Options) Result {
-	return kernelExtract(ctx, nw, nodes, opt, kcm.NewPatcher(0, opt.Kernel))
+	return kernelExtract(ctx, nw, nodes, opt, kcm.NewPatcher(0, opt.Kernel), new(rect.Cover))
 }
 
-// kernelExtract is KernelExtract building the matrix with pat: the
-// call reuses its cached per-node kernels, re-kernels only the nodes
-// marked dirty, and marks dirty the nodes its divisions rewrite.
-func kernelExtract(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Options, pat *kcm.Patcher) Result {
+// kernelExtract is KernelExtract building the matrix with pat and
+// covering it through covered, which it resets onto the matrix: the
+// call reuses the patcher's cached per-node kernels and matrix
+// storage, re-kernels only the nodes marked dirty, marks dirty the
+// nodes its divisions rewrite, and refills the Cover's storage.
+func kernelExtract(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Options, pat *kcm.Patcher, covered *rect.Cover) Result {
 	if nodes == nil {
 		nodes = nw.NodeVars()
 	}
@@ -134,7 +136,7 @@ func kernelExtract(ctx context.Context, nw *network.Network, nodes []sop.Var, op
 		res.Cancelled = true
 		return res
 	}
-	covered := rect.NewCover(m)
+	covered.Reset(m)
 	cfg := opt.Rect
 	cfg.Cover = covered
 	for {
@@ -168,13 +170,16 @@ func kernelExtract(ctx context.Context, nw *network.Network, nodes []sop.Var, op
 // accumulated result and the number of calls made. A cancelled ctx
 // ends the loop at the next call boundary with Cancelled set.
 //
-// Repeat owns one incremental Patcher across all its calls: every
-// call after the first re-kernels only the nodes the previous call's
-// divisions touched.
+// Repeat owns one incremental Patcher and one Cover across all its
+// calls: every call after the first re-kernels only the nodes the
+// previous call's divisions touched, assembles its matrix in the
+// storage of the previous call's, and resets the Cover onto it, so
+// the set and the root memo are refilled rather than reallocated.
 func Repeat(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Options) (Result, int) {
 	var total Result
 	calls := 0
 	pat := kcm.NewPatcher(0, opt.Kernel)
+	covered := new(rect.Cover)
 	active := nodes
 	if active == nil {
 		active = nw.NodeVars()
@@ -182,7 +187,7 @@ func Repeat(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Optio
 	for {
 		calls++
 		before := nw.NumNodes()
-		res := kernelExtract(ctx, nw, active, opt, pat)
+		res := kernelExtract(ctx, nw, active, opt, pat, covered)
 		total.Extracted += res.Extracted
 		total.Iterations += res.Iterations
 		total.GainEstimate += res.GainEstimate

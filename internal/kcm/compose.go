@@ -26,14 +26,24 @@ type Part struct {
 // The build is two passes over exact-size slabs: one counts the rows
 // and entries each part keeps, the other fills them. A column's
 // position follows from its label by arithmetic, and the cube table is
-// parts[own].M's, pointed at the new columns, so nothing is hashed.
+// a copy of parts[own].M's, whose columns sit at the same positions, so
+// nothing is hashed.
 // The parts' row ids must ascend in part order, as offset labels do:
 // each column's RowIDs are filled in that order. The parts are only
 // read, so several Compose calls may share them.
-func Compose(parts []Part, own int, labels []int64) *Matrix {
+//
+// prev, when not nil, is a matrix an earlier Compose returned and the
+// caller has done with, such as the last call's L-matrix of the same
+// processor: the new matrix is filled into its storage, and prev
+// reads as empty afterwards. It must not be one of the parts.
+func Compose(parts []Part, own int, labels []int64, prev *Matrix) *Matrix {
 	src := parts[own].M
 	nr, ne := 0, 0
 	for _, pt := range parts {
+		pt.M.live()
+		if invariant.Enabled {
+			invariant.Assert(prev == nil || pt.M != prev, "Compose refilling one of its own parts")
+		}
 		if pt.To == nil {
 			nr += len(pt.M.rows)
 			ne += pt.M.entries
@@ -54,23 +64,23 @@ func Compose(parts []Part, own int, labels []int64) *Matrix {
 		}
 	}
 
-	colSlab := make([]Col, len(src.cols))
-	m := &Matrix{
-		rows:    make([]*Row, 0, nr),
-		cols:    make([]*Col, len(src.cols)),
-		entries: ne,
-	}
+	m := refill(prev)
+	s := m.slabs
+	m.entries = ne
+	s.cols = resize(s.cols, len(src.cols))
+	m.cols = resize(m.cols, len(src.cols))
 	for k, c := range src.cols {
-		colSlab[k] = Col{ID: labels[k], Cube: c.Cube, Hash: c.Hash, pos: int32(k)}
-		m.cols[k] = &colSlab[k]
+		s.cols[k] = Col{ID: labels[k], Cube: c.Cube, Hash: c.Hash, pos: int32(k)}
+		m.cols[k] = &s.cols[k]
 	}
-	m.colTab = src.colTab.remap(m.cols)
+	m.colTab.copyFrom(&src.colTab)
 
 	// The slabs hold the rows in part order, the ascending-id order
 	// finish fills RowIDs in; Rows() lists parts[own]'s first.
-	rowSlab := make([]Row, nr)
-	entrySlab := make([]Entry, ne)
-	colRefs := make([]int32, ne)
+	rowSlab := resize(s.rows, nr)
+	entrySlab := resize(s.entries, ne)
+	colRefs := resize(s.colRefs, ne)
+	s.rows, s.entries, s.colRefs = rowSlab, entrySlab, colRefs
 	ri, eoff, ownLo, ownHi := 0, 0, 0, 0
 	for x, pt := range parts {
 		if x == own {
@@ -103,12 +113,16 @@ func Compose(parts []Part, own int, labels []int64) *Matrix {
 			ownHi = ri
 		}
 	}
+	m.rows = resize(m.rows, nr)
+	k := 0
 	for i := range rowSlab[ownLo:ownHi] {
-		m.rows = append(m.rows, &rowSlab[ownLo+i])
+		m.rows[k] = &rowSlab[ownLo+i]
+		k++
 	}
 	for i := range rowSlab {
 		if i < ownLo || i >= ownHi {
-			m.rows = append(m.rows, &rowSlab[i])
+			m.rows[k] = &rowSlab[i]
+			k++
 		}
 	}
 	m.finish(rowSlab, colRefs)
@@ -131,20 +145,24 @@ func (m *Matrix) firstLabel() int64 {
 	return m.cols[0].ID
 }
 
-// finish files the rows and columns by label, each band allocated once
-// at its exact length, gives every column its RowIDs from one
-// exact-size slab, then drops the derived views. rows holds every row
-// of the matrix in ascending id order, and colRefs the column position
-// of each of their entries, row after row (within a row, in any
-// order).
+// finish files the rows and columns by label, each band allocated at
+// most once at its exact length, gives every column its RowIDs from
+// one slab, then drops the derived views. rows holds every row of the
+// matrix in ascending id order, and colRefs the column position of
+// each of their entries, row after row (within a row, in any order).
+// The matrix must hold slabs (see refill), whose count and RowIDs
+// arrays finish refills.
 func (m *Matrix) finish(rows []Row, colRefs []int32) {
+	s := m.slabs
 	m.rowAt.fill(m.rows, rowLabel)
 	m.colAt.fill(m.cols, colLabel)
-	counts := make([]int32, len(m.cols))
+	counts := resize(s.counts, len(m.cols))
+	clear(counts)
 	for _, cp := range colRefs {
 		counts[cp]++
 	}
-	slab := make([]int64, len(colRefs))
+	slab := resize(s.rowIDs, len(colRefs))
+	s.counts, s.rowIDs = counts, slab
 	off := int32(0)
 	for i, c := range m.cols {
 		c.RowIDs = slab[off : off : off+counts[i]]

@@ -21,6 +21,9 @@ import (
 //
 // An Index is a snapshot: it is built lazily by Matrix.Index, cached,
 // and dropped on any structural mutation. Callers must not mutate it.
+// The first index of a matrix that a Patcher or Compose refilled
+// reuses the arrays of the superseded matrix's index, but is always a
+// new Index value, so a search memo bound to the old one rebinds.
 type Index struct {
 	// RowIDs and ColIDs map dense positions back to labels, each in
 	// ascending label order.
@@ -47,34 +50,47 @@ type Index struct {
 	// columns' Matrix position (Col.pos) to its dense position.
 	m     *Matrix
 	dense []int32
+	// colRowSlab and refSlab hold every ColRows and RowRefs list;
+	// rowCopy and colCopy hold Rows and Cols when they are sorted
+	// copies of the matrix's lists rather than the lists themselves.
+	colRowSlab, refSlab []int32
+	rowCopy             []*Row
+	colCopy             []*Col
 }
 
 // Index returns the dense view of the matrix, building and caching it
 // on first use. The returned index is shared and read-only; it remains
 // valid until the next structural mutation of the matrix.
 func (m *Matrix) Index() *Index {
+	m.live()
 	if m.index != nil {
 		return m.index
 	}
+	var old Index
+	if m.slabs != nil && m.slabs.ix != nil {
+		old, m.slabs.ix = *m.slabs.ix, nil
+	}
 	nr, nc := len(m.rows), len(m.cols)
 	ix := &Index{
-		RowIDs:  make([]int64, nr),
-		ColIDs:  make([]int64, nc),
-		Rows:    byLabel(m.rows, rowLabel),
-		Cols:    byLabel(m.cols, colLabel),
-		ColRows: make([][]int32, nc),
-		RowRefs: make([][]int32, nr),
-		m:       m,
-		dense:   make([]int32, nc),
+		RowIDs:     resize(old.RowIDs, nr),
+		ColIDs:     resize(old.ColIDs, nc),
+		ColRows:    resize(old.ColRows, nc),
+		RowRefs:    resize(old.RowRefs, nr),
+		m:          m,
+		dense:      resize(old.dense, nc),
+		colRowSlab: resize(old.colRowSlab, m.entries),
+		refSlab:    resize(old.refSlab, m.entries),
 
 		MaxCubeID: m.maxCubeID,
 	}
+	ix.Rows, ix.rowCopy = byLabel(m.rows, rowLabel, old.rowCopy)
+	ix.Cols, ix.colCopy = byLabel(m.cols, colLabel, old.colCopy)
 	for i, r := range ix.Rows {
 		ix.RowIDs[i] = r.ID
 	}
 	// Each column's list is a slice of one slab, sized by its RowIDs,
 	// and filled in ascending dense row order below.
-	rows := make([]int32, m.entries)
+	rows := ix.colRowSlab
 	for j, c := range ix.Cols {
 		ix.ColIDs[j] = c.ID
 		ix.dense[c.pos] = int32(j)
@@ -82,7 +98,7 @@ func (m *Matrix) Index() *Index {
 		ix.ColRows[j] = rows[:0:n]
 		rows = rows[n:]
 	}
-	refs := make([]int32, m.entries)
+	refs := ix.refSlab
 	for i, r := range ix.Rows {
 		ix.MaxRowLen = max(ix.MaxRowLen, len(r.Entries))
 		ix.RowRefs[i] = refs[:len(r.Entries):len(r.Entries)]
@@ -101,15 +117,18 @@ func (m *Matrix) Index() *Index {
 }
 
 // byLabel returns items in ascending label order: items itself when it
-// already is, as a Patcher's rows and columns are, else a sorted copy.
-func byLabel[T any](items []*T, label func(*T) int64) []*T {
-	byID := func(a, b *T) int { return cmp.Compare(label(a), label(b)) }
-	if slices.IsSortedFunc(items, byID) {
-		return items[:len(items):len(items)]
+// already is, as a Patcher's rows and columns are, else a sorted copy
+// made in buf's array when it is long enough. The second result is the
+// copy, or nil when items is returned.
+func byLabel[T any](items []*T, label func(*T) int64, buf []*T) (byID, copied []*T) {
+	cmpID := func(a, b *T) int { return cmp.Compare(label(a), label(b)) }
+	if slices.IsSortedFunc(items, cmpID) {
+		return items[:len(items):len(items)], nil
 	}
-	sorted := slices.Clone(items)
-	slices.SortFunc(sorted, byID)
-	return sorted
+	sorted := resize(buf, len(items))
+	copy(sorted, items)
+	slices.SortFunc(sorted, cmpID)
+	return sorted, sorted
 }
 
 // ColPos returns the dense position of column id.

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/analysis/invariant"
 	"repro/internal/kernels"
 	"repro/internal/sop"
 )
@@ -113,6 +114,12 @@ type Matrix struct {
 	// Merge relabeling).
 	sortedCols []int64
 	index      *Index
+	// slabs is the storage a Patcher or Compose filled the matrix
+	// into, nil for a matrix built row by row; gen is the fill's
+	// generation, which the storage's gen passes once a newer fill
+	// takes it over (see refill).
+	slabs *slabs
+	gen   uint64
 }
 
 // invalidate drops the cached sorted-column list and dense index after
@@ -125,29 +132,49 @@ func (m *Matrix) invalidate() {
 // NewMatrix returns an empty matrix.
 func NewMatrix() *Matrix { return &Matrix{} }
 
+// live asserts, in the invariants build, that no newer fill has
+// taken over m's storage: a superseded matrix reads as empty, and
+// reading it is a use-after-refill bug (see refill).
+func (m *Matrix) live() {
+	if invariant.Enabled && m.slabs != nil {
+		invariant.Assert(m.gen == m.slabs.gen,
+			"matrix of fill %d read after fill %d took over its storage", m.gen, m.slabs.gen)
+	}
+}
+
 // Rows returns the rows in insertion order (read-only).
-func (m *Matrix) Rows() []*Row { return m.rows }
+func (m *Matrix) Rows() []*Row { m.live(); return m.rows }
 
 // Cols returns the columns in insertion order (read-only).
-func (m *Matrix) Cols() []*Col { return m.cols }
+func (m *Matrix) Cols() []*Col { m.live(); return m.cols }
 
 // Row returns the row labeled id, or nil.
-func (m *Matrix) Row(id int64) *Row { return m.rowAt.get(id) }
+func (m *Matrix) Row(id int64) *Row { m.live(); return m.rowAt.get(id) }
 
 // Col returns the column labeled id, or nil.
-func (m *Matrix) Col(id int64) *Col { return m.colAt.get(id) }
+func (m *Matrix) Col(id int64) *Col { m.live(); return m.colAt.get(id) }
 
 // ColByCube returns the column holding kernel cube c, whose
 // kernels.HashCube is h, or nil. Every column carries its cube's hash
 // (Col.Hash), so probing with another matrix's column hashes nothing.
-func (m *Matrix) ColByCube(c sop.Cube, h uint64) *Col { return m.colTab.lookupHashed(h, c) }
+func (m *Matrix) ColByCube(c sop.Cube, h uint64) *Col {
+	m.live()
+	if k := m.colTab.find(h, c, m.colCube); k >= 0 {
+		return m.cols[k]
+	}
+	return nil
+}
+
+// colCube returns the cube of the column at position pos.
+func (m *Matrix) colCube(pos int32) sop.Cube { return m.cols[pos].Cube }
 
 // NumEntries returns the number of non-zero elements.
-func (m *Matrix) NumEntries() int { return m.entries }
+func (m *Matrix) NumEntries() int { m.live(); return m.entries }
 
 // Sparsity returns the fraction of non-zero elements, the α and γ
 // factors of the paper's Equation 3. An empty matrix has sparsity 0.
 func (m *Matrix) Sparsity() float64 {
+	m.live()
 	if len(m.rows) == 0 || len(m.cols) == 0 {
 		return 0
 	}
@@ -159,6 +186,7 @@ func (m *Matrix) Sparsity() float64 {
 // The result is cached until the next structural mutation (AddRow,
 // InternColumn, Merge) and must be treated as read-only.
 func (m *Matrix) SortedColIDs() []int64 {
+	m.live()
 	if m.sortedCols == nil && len(m.cols) > 0 {
 		ids := make([]int64, len(m.cols))
 		for i, c := range m.cols {
@@ -172,26 +200,26 @@ func (m *Matrix) SortedColIDs() []int64 {
 
 // MaxCubeID returns the largest CubeID appearing in any entry (0 for
 // an empty matrix). Dense covered-cube sets are sized by it.
-func (m *Matrix) MaxCubeID() int64 { return m.maxCubeID }
+func (m *Matrix) MaxCubeID() int64 { m.live(); return m.maxCubeID }
 
 // InternColumn returns the column for cube, creating it with the
 // given id (at least 1) on first sight. An existing column keeps its
 // original id.
-func (m *Matrix) InternColumn(cube sop.Cube, id int64) *Col {
-	return m.internCol(cube, id)
-}
+func (m *Matrix) InternColumn(cube sop.Cube, id int64) *Col { m.live(); return m.internCol(cube, id) }
 
 // AddRow inserts a fully-formed row, labeled at least 1, whose entries
 // refer to already interned column ids, wiring the column
 // back-references. Callers inserting many rows should call SortColRows
 // afterwards.
 func (m *Matrix) AddRow(r *Row) {
+	m.live()
 	m.addRow(r)
 }
 
 // SortColRows restores the sorted-rows invariant on all columns after
 // bulk AddRow insertion.
 func (m *Matrix) SortColRows() {
+	m.live()
 	m.sortColRows()
 }
 
@@ -199,12 +227,12 @@ func (m *Matrix) SortColRows() {
 // id on first sight. An existing column keeps its original id.
 func (m *Matrix) internCol(cube sop.Cube, id int64) *Col {
 	h := kernels.HashCube(cube)
-	if c := m.colTab.lookupHashed(h, cube); c != nil {
-		return c
+	if k := m.colTab.find(h, cube, m.colCube); k >= 0 {
+		return m.cols[k]
 	}
 	c := &Col{ID: id, Cube: cube, Hash: h, pos: int32(len(m.cols))}
 	m.cols = append(m.cols, c)
-	m.colTab.insert(h, c)
+	m.colTab.insert(h, c.pos)
 	m.colAt.set(id, c)
 	m.invalidate()
 	return c
@@ -249,55 +277,64 @@ func sortEntrySlice(entries []Entry) { slices.SortFunc(entries, compareEntries) 
 
 // colTable is an open-addressing hash table interning columns by their
 // kernel cube. It replaces a map keyed by cube strings, whose
-// materialization dominated the matrix-build allocation profile.
+// materialization dominated the matrix-build allocation profile. A slot
+// holds the position of its column in Matrix.cols, plus one (0 is
+// empty), so Assemble can intern columns before their slab exists, and
+// a matrix whose columns sit at the same positions as another's, as an
+// L-matrix's sit at its partition matrix's, copies the table as it is.
 type colTable struct {
-	slots []*Col
+	slots []int32
 	hash  []uint64
 	n     int
 }
 
-// lookupHashed returns the column holding cube c, whose hash is h, or
-// nil.
-func (t *colTable) lookupHashed(h uint64, c sop.Cube) *Col {
+// find returns the position of the column whose cube is c, with hash
+// h, or -1; cube returns the cube of the column at a position.
+func (t *colTable) find(h uint64, c sop.Cube, cube func(pos int32) sop.Cube) int32 {
 	if len(t.slots) == 0 {
-		return nil
+		return -1
 	}
 	mask := uint64(len(t.slots) - 1)
-	for i := h & mask; t.slots[i] != nil; i = (i + 1) & mask {
-		if t.hash[i] == h && t.slots[i].Cube.Equal(c) {
-			return t.slots[i]
+	for i := h & mask; t.slots[i] != 0; i = (i + 1) & mask {
+		if pos := t.slots[i] - 1; t.hash[i] == h && cube(pos).Equal(c) {
+			return pos
 		}
 	}
-	return nil
+	return -1
 }
 
-// insert adds a column whose cube is known to be absent.
-func (t *colTable) insert(h uint64, col *Col) {
+// insert adds the column at position pos, whose cube is known to be
+// absent.
+func (t *colTable) insert(h uint64, pos int32) {
 	if t.n*4 >= len(t.slots)*3 {
 		t.grow()
 	}
 	mask := uint64(len(t.slots) - 1)
 	i := h & mask
-	for t.slots[i] != nil {
+	for t.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
-	t.slots[i] = col
+	t.slots[i] = pos + 1
 	t.hash[i] = h
 	t.n++
 }
 
-// remap returns a copy of t that holds, in each slot, the column of
-// cols at the slotted column's position: the table of a matrix whose
-// columns are t's, in the same order, under other labels. The hashes
-// carry over, so no cube is hashed again.
-func (t *colTable) remap(cols []*Col) colTable {
-	out := colTable{slots: make([]*Col, len(t.slots)), hash: slices.Clone(t.hash), n: t.n}
-	for i, c := range t.slots {
-		if c != nil {
-			out.slots[i] = cols[c.pos]
-		}
-	}
-	return out
+// reset empties the table and keeps its size, the one the last
+// matrix filled into it grew to.
+func (t *colTable) reset() {
+	clear(t.slots)
+	t.n = 0
+}
+
+// copyFrom fills t with src's slots and hashes, reusing t's arrays: the
+// table of a matrix whose columns are src's, at the same positions,
+// under any labels. No cube is hashed again.
+func (t *colTable) copyFrom(src *colTable) {
+	t.slots = resize(t.slots, len(src.slots))
+	t.hash = resize(t.hash, len(src.hash))
+	copy(t.slots, src.slots)
+	copy(t.hash, src.hash)
+	t.n = src.n
 }
 
 func (t *colTable) grow() {
@@ -306,15 +343,15 @@ func (t *colTable) grow() {
 	if len(oldSlots) > 0 {
 		size = len(oldSlots) * 2
 	}
-	t.slots = make([]*Col, size)
+	t.slots = make([]int32, size)
 	t.hash = make([]uint64, size)
 	mask := uint64(size - 1)
 	for j, c := range oldSlots {
-		if c == nil {
+		if c == 0 {
 			continue
 		}
 		i := oldHash[j] & mask
-		for t.slots[i] != nil {
+		for t.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
 		t.slots[i] = c
@@ -326,6 +363,7 @@ func (t *colTable) grow() {
 // with column cubes across the top and one line per row showing the
 // cube id of every entry.
 func (m *Matrix) Dump(names *sop.Names) string {
+	m.live()
 	cols := append([]*Col(nil), m.cols...)
 	sort.Slice(cols, func(i, j int) bool { return cols[i].ID < cols[j].ID })
 	var b strings.Builder

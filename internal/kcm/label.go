@@ -44,9 +44,11 @@ func (t *labelTable[T]) set(l int64, v *T) {
 	t.bands[b][s] = v
 }
 
-// fill files every element of items, labeled by label, into an empty
-// table. One pass finds each band's last slot, so every band is
-// allocated once at its exact length.
+// fill files every element of items, labeled by label, into the
+// table in place of what it held. One pass finds each band's last
+// slot, so a band is allocated at most once, at its exact length; a
+// band whose array is long enough is reused, cleared first, so a slot
+// no label fills reads as absent and keeps nothing alive.
 func (t *labelTable[T]) fill(items []*T, label func(*T) int64) {
 	var n []int64
 	for _, it := range items {
@@ -56,11 +58,12 @@ func (t *labelTable[T]) fill(items []*T, label func(*T) int64) {
 		}
 		n[b] = max(n[b], s+1)
 	}
-	t.bands = make([][]*T, len(n))
+	for _, band := range t.bands {
+		clear(band)
+	}
+	t.bands = resize(t.bands, len(n))
 	for b := range n {
-		if n[b] > 0 {
-			t.bands[b] = make([]*T, n[b])
-		}
+		t.bands[b] = resize(t.bands[b], int(n[b]))
 	}
 	for _, it := range items {
 		b, s := place(label(it))

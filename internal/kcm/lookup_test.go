@@ -41,7 +41,7 @@ func lookupCases(t *testing.T) []lookupCase {
 		mats := lshape.BuildMatrices(nw, partition.KWay(nw, nil, p, partition.Options{}), kernels.Options{})
 		own := lshape.Distribute(mats)
 		for j := range mats {
-			cases = append(cases, lookupCase{fmt.Sprintf("compose/p%d/proc%d", p, j), lshape.AssembleProc(mats, own, j)})
+			cases = append(cases, lookupCase{fmt.Sprintf("compose/p%d/proc%d", p, j), lshape.AssembleProc(mats, own, j, nil)})
 		}
 	}
 
@@ -146,48 +146,21 @@ func bandEnds(labels []int64) (present map[int64]bool, lo, hi map[int64]int64) {
 // label filled. Each must find exactly the row or column the matrix
 // lists under that label, and nothing for an absent one.
 func TestLabelLookups(t *testing.T) {
-	seen := map[string]map[string]int{"row": {}, "col": {}}
+	seen := probeKinds{}
 	for _, tc := range lookupCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			m := tc.m
-			ix := m.Index()
-			rows, cols := map[int64]*kcm.Row{}, map[int64]*kcm.Col{}
-			var rowLabels, colLabels []int64
-			for _, r := range m.Rows() {
-				rows[r.ID] = r
-				rowLabels = append(rowLabels, r.ID)
-			}
-			for _, c := range m.Cols() {
-				cols[c.ID] = c
-				colLabels = append(colLabels, c.ID)
-			}
-			dense := map[int64]int{}
-			for j, l := range ix.ColIDs {
-				dense[l] = j
-			}
-
-			present, lo, hi := bandEnds(rowLabels)
-			for _, l := range probes(rowLabels) {
-				kind := classify(l, present, lo, hi)
-				seen["row"][kind]++
-				if got := m.Row(l); got != rows[l] {
-					t.Fatalf("Row(%d), %s: got %v, want %v", l, kind, got, rows[l])
-				}
-			}
-			present, lo, hi = bandEnds(colLabels)
-			for _, l := range probes(colLabels) {
-				kind := classify(l, present, lo, hi)
-				seen["col"][kind]++
-				if got := m.Col(l); got != cols[l] {
-					t.Fatalf("Col(%d), %s: got %v, want %v", l, kind, got, cols[l])
-				}
-				want, ok := dense[l]
-				if got, gotOK := ix.ColPos(l); gotOK != ok || got != want {
-					t.Fatalf("ColPos(%d), %s: got %d %v, want %d %v", l, kind, got, gotOK, want, ok)
-				}
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkLookups(t, tc.m, seen) })
 	}
+	seen.requireAll(t)
+}
+
+// probeKinds counts, for "row" and "col", the labels probed of each
+// kind.
+type probeKinds map[string]map[string]int
+
+// requireAll fails unless labels of every kind were probed, for rows
+// and for columns.
+func (seen probeKinds) requireAll(t *testing.T) {
+	t.Helper()
 	for _, what := range []string{"row", "col"} {
 		for _, kind := range []string{kindPresent, kindBelowOne, kindMissingBand, kindPastEnd, kindUnfilled} {
 			if seen[what][kind] == 0 {
@@ -197,37 +170,88 @@ func TestLabelLookups(t *testing.T) {
 	}
 }
 
+// checkLookups probes m's Row, Col and Index.ColPos around its labels
+// (see TestLabelLookups), counting the kinds probed in seen.
+func checkLookups(t *testing.T, m *kcm.Matrix, seen probeKinds) {
+	t.Helper()
+	for _, what := range []string{"row", "col"} {
+		if seen[what] == nil {
+			seen[what] = map[string]int{}
+		}
+	}
+	ix := m.Index()
+	rows, cols := map[int64]*kcm.Row{}, map[int64]*kcm.Col{}
+	var rowLabels, colLabels []int64
+	for _, r := range m.Rows() {
+		rows[r.ID] = r
+		rowLabels = append(rowLabels, r.ID)
+	}
+	for _, c := range m.Cols() {
+		cols[c.ID] = c
+		colLabels = append(colLabels, c.ID)
+	}
+	dense := map[int64]int{}
+	for j, l := range ix.ColIDs {
+		dense[l] = j
+	}
+
+	present, lo, hi := bandEnds(rowLabels)
+	for _, l := range probes(rowLabels) {
+		kind := classify(l, present, lo, hi)
+		seen["row"][kind]++
+		if got := m.Row(l); got != rows[l] {
+			t.Fatalf("Row(%d), %s: got %v, want %v", l, kind, got, rows[l])
+		}
+	}
+	present, lo, hi = bandEnds(colLabels)
+	for _, l := range probes(colLabels) {
+		kind := classify(l, present, lo, hi)
+		seen["col"][kind]++
+		if got := m.Col(l); got != cols[l] {
+			t.Fatalf("Col(%d), %s: got %v, want %v", l, kind, got, cols[l])
+		}
+		want, ok := dense[l]
+		if got, gotOK := ix.ColPos(l); gotOK != ok || got != want {
+			t.Fatalf("ColPos(%d), %s: got %d %v, want %d %v", l, kind, got, gotOK, want, ok)
+		}
+	}
+}
+
 // TestIndexColRows requires each column's dense row list to be its
 // RowIDs in dense numbering, ascending, and the lists to hold one row
 // per matrix entry.
 func TestIndexColRows(t *testing.T) {
 	for _, tc := range lookupCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			ix := tc.m.Index()
-			if len(ix.ColRows) != len(ix.Cols) {
-				t.Fatalf("%d row lists for %d columns", len(ix.ColRows), len(ix.Cols))
+		t.Run(tc.name, func(t *testing.T) { checkColRows(t, tc.m) })
+	}
+}
+
+// checkColRows is TestIndexColRows' check of one matrix.
+func checkColRows(t *testing.T, m *kcm.Matrix) {
+	t.Helper()
+	ix := m.Index()
+	if len(ix.ColRows) != len(ix.Cols) {
+		t.Fatalf("%d row lists for %d columns", len(ix.ColRows), len(ix.Cols))
+	}
+	total := 0
+	for j, c := range ix.Cols {
+		want := make([]int32, len(c.RowIDs))
+		for k, id := range c.RowIDs {
+			i, ok := slices.BinarySearch(ix.RowIDs, id)
+			if !ok {
+				t.Fatalf("column %d lists row %d, which the index lacks", c.ID, id)
 			}
-			total := 0
-			for j, c := range ix.Cols {
-				want := make([]int32, len(c.RowIDs))
-				for k, id := range c.RowIDs {
-					i, ok := slices.BinarySearch(ix.RowIDs, id)
-					if !ok {
-						t.Fatalf("column %d lists row %d, which the index lacks", c.ID, id)
-					}
-					want[k] = int32(i)
-				}
-				if !slices.Equal(ix.ColRows[j], want) {
-					t.Fatalf("column %d: ColRows %v, RowIDs in dense rows %v", c.ID, ix.ColRows[j], want)
-				}
-				if !slices.IsSorted(ix.ColRows[j]) {
-					t.Fatalf("column %d: ColRows %v not ascending", c.ID, ix.ColRows[j])
-				}
-				total += len(ix.ColRows[j])
-			}
-			if total != tc.m.NumEntries() {
-				t.Fatalf("column lists hold %d rows for %d entries", total, tc.m.NumEntries())
-			}
-		})
+			want[k] = int32(i)
+		}
+		if !slices.Equal(ix.ColRows[j], want) {
+			t.Fatalf("column %d: ColRows %v, RowIDs in dense rows %v", c.ID, ix.ColRows[j], want)
+		}
+		if !slices.IsSorted(ix.ColRows[j]) {
+			t.Fatalf("column %d: ColRows %v not ascending", c.ID, ix.ColRows[j])
+		}
+		total += len(ix.ColRows[j])
+	}
+	if total != m.NumEntries() {
+		t.Fatalf("column lists hold %d rows for %d entries", total, m.NumEntries())
 	}
 }

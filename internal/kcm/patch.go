@@ -19,9 +19,10 @@ package kcm
 //
 // Invalidation protocol: MarkDirty only queues invalidation; a dirty
 // node's arena chunks are recycled at the *next* Rebuild, so the
-// outgoing matrix stays fully valid until its replacement exists.
-// Callers must stop using a Rebuild result once they call Rebuild
-// again on the same Patcher.
+// outgoing matrix stays fully valid until its replacement is started.
+// Callers must stop using a Rebuild result once they call Rebuild (or
+// MakeBatches) again on the same Patcher: that call supersedes it, and
+// the next Assemble refills its storage.
 
 import (
 	"context"
@@ -118,8 +119,14 @@ type nodeProto struct {
 
 // Patcher caches per-node kernel protos and assembles KC matrices from
 // them, re-kerneling only nodes that were marked dirty since the last
-// Rebuild. The zero Patcher is not ready; use NewPatcher. A Patcher is
-// not safe for concurrent use except where methods say otherwise.
+// Rebuild. It also keeps the storage of the matrix it assembled last —
+// its row, entry, column and RowIDs slabs, its row and column lists,
+// label bands and column table, and its dense index's arrays — and the
+// next Assemble refills it, so a driver that keeps one Patcher across
+// its factorization calls allocates matrix storage only when a matrix
+// outgrows the last one. The zero Patcher is not ready; use
+// NewPatcher. A Patcher is not safe for concurrent use except where
+// methods say otherwise.
 type Patcher struct {
 	proc   int
 	opts   kernels.Options
@@ -134,6 +141,10 @@ type Patcher struct {
 	// creation order, so stats can be summed deterministically.
 	arenas []*sop.Arena
 	stats  BuildStats
+	// last is the matrix the last Assemble returned, until a new build
+	// supersedes it; blank then holds its storage, empty, for the next
+	// Assemble to fill.
+	last, blank *Matrix
 }
 
 // NewPatcher returns a patcher whose assembled labels start at
@@ -202,13 +213,15 @@ var scratchArenas = sync.Pool{New: func() any { return new(sop.Arena) }}
 
 // MakeBatches hands out n batches, distributing the patcher's recycled
 // arenas among them. Must not be called while batches from a previous
-// call are still being filled. Calling it begins a new build: retired
-// arenas are recycled here, so the matrix assembled before the previous
-// MakeBatches becomes invalid.
+// call are still being filled. Calling it begins a new build: the
+// matrix the last Assemble returned is superseded (it reads as empty,
+// and the next Assemble refills its storage), and retired arenas are
+// recycled.
 func (p *Patcher) MakeBatches(n int) []*Batch {
 	if n < 1 {
 		n = 1
 	}
+	p.supersede()
 	p.recycleRetired()
 	bs := make([]*Batch, n)
 	for i := range bs {
@@ -315,6 +328,14 @@ func (p *Patcher) Commit(batches ...*Batch) {
 	p.stats.ArenaBytesReused = reused
 }
 
+// supersede retires the matrix the last Assemble returned: its
+// storage moves to blank, and it reads as empty.
+func (p *Patcher) supersede() {
+	if p.last != nil {
+		p.blank, p.last = refill(p.last), nil
+	}
+}
+
 // recycleRetired resets retired arenas into the free list. Called by
 // MakeBatches, when the previous matrix is being replaced and no live
 // matrix references the retired chunks anymore.
@@ -337,9 +358,16 @@ func (p *Patcher) recycleRetired() {
 // Columns are labeled by position: the k-th column of Cols() (from 0)
 // is labeled proc·Stride+k+1, so internal/lshape finds an entry's
 // column from its label without hashing.
+//
+// The matrix is filled into the storage of the one the previous
+// Assemble returned, which it supersedes. Rows, entries and columns
+// each live in one slab. Columns are interned by position as the
+// entries come, each from the first proto entry that holds its cube,
+// and the column slab is filled at its exact size afterwards; the
+// column table starts at the size the last matrix's columns grew it to.
 func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 	base := int64(p.proc) * Stride
-	rowSeq, colSeq, cubeSeq := base, base, base
+	rowSeq, cubeSeq := base, base
 
 	totalRows, totalEntries := 0, 0
 	for _, v := range nodes {
@@ -349,14 +377,28 @@ func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 		}
 	}
 
-	m := NewMatrix()
-	m.rows = make([]*Row, 0, totalRows)
-	rowSlab := make([]Row, totalRows)
-	entrySlab := make([]Entry, totalEntries)
+	p.supersede()
+	m := p.blank
+	if m == nil {
+		m = refill(nil)
+	}
+	p.blank, p.last = nil, m
+	s := m.slabs
+	m.rows = resize(m.rows, totalRows)
+	rowSlab := resize(s.rows, totalRows)
+	entrySlab := resize(s.entries, totalEntries)
 	// colRefs records, aligned with entrySlab *insertion* order, the
 	// position of each entry's column; per-row sorting of Entries does
 	// not disturb the per-row multiset, which is all finish needs.
-	colRefs := make([]int32, totalEntries)
+	colRefs := resize(s.colRefs, totalEntries)
+	// colSrc[k] is the proto entry column k was interned from; every
+	// column comes from one, so totalEntries bounds the list.
+	colSrc := s.colSrc[:0]
+	if cap(colSrc) < totalEntries {
+		colSrc = make([]*protoEntry, 0, totalEntries)
+	}
+	srcCube := func(k int32) sop.Cube { return colSrc[k].col }
+	m.colTab.reset()
 
 	ri, eoff := 0, 0
 	for _, v := range nodes {
@@ -368,29 +410,26 @@ func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 		for _, pr := range np.pairs {
 			rowSeq++
 			row := &rowSlab[ri]
-			ri++
-			row.ID = rowSeq
-			row.Node = v
-			row.CoKernel = pr.coKernel
 			start := eoff
-			for _, e := range np.entries[pr.lo:pr.hi] {
-				col := m.colTab.lookupHashed(e.colHash, e.col)
-				if col == nil {
-					colSeq++
-					col = &Col{ID: colSeq, Cube: e.col, Hash: e.colHash, pos: int32(len(m.cols))}
-					m.cols = append(m.cols, col)
-					m.colTab.insert(e.colHash, col)
+			for i := pr.lo; i < pr.hi; i++ {
+				e := &np.entries[i]
+				k := m.colTab.find(e.colHash, e.col, srcCube)
+				if k < 0 {
+					k = int32(len(colSrc))
+					colSrc = append(colSrc, e)
+					m.colTab.insert(e.colHash, k)
 				}
 				if e.ord < 0 {
 					continue
 				}
-				entrySlab[eoff] = Entry{Col: col.ID, CubeID: cubeBase + int64(e.ord) + 1, Weight: int(e.weight)}
-				colRefs[eoff] = col.pos
+				entrySlab[eoff] = Entry{Col: base + int64(k) + 1, CubeID: cubeBase + int64(e.ord) + 1, Weight: int(e.weight)}
+				colRefs[eoff] = k
 				eoff++
 			}
-			row.Entries = entrySlab[start:eoff:eoff]
+			*row = Row{ID: rowSeq, Node: v, CoKernel: pr.coKernel, Entries: entrySlab[start:eoff:eoff]}
 			slicesSortEntries(row.Entries)
-			m.rows = append(m.rows, row)
+			m.rows[ri] = row
+			ri++
 			m.entries += len(row.Entries)
 		}
 		cubeSeq = cubeBase + int64(np.distinct)
@@ -398,6 +437,16 @@ func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 			m.maxCubeID = cubeSeq
 		}
 	}
+	if n := len(colSrc); n < len(s.colSrc) {
+		clear(s.colSrc[n:]) // the stale tail, when the list was reused
+	}
+	cols := resize(s.cols, len(colSrc))
+	m.cols = resize(m.cols, len(colSrc))
+	for k, e := range colSrc {
+		cols[k] = Col{ID: base + int64(k) + 1, Cube: e.col, Hash: e.colHash, pos: int32(k)}
+		m.cols[k] = &cols[k]
+	}
+	s.rows, s.entries, s.colRefs, s.colSrc, s.cols = rowSlab, entrySlab, colRefs, colSrc, cols
 	// Row ids increase in row order, so finish's RowIDs are sorted.
 	m.finish(rowSlab, colRefs[:eoff])
 	return m
@@ -422,10 +471,14 @@ func slicesSortEntries(entries []Entry) {
 // cache was reused. Once ctx is cancelled no further node is kerneled,
 // and the partial result must be discarded.
 //
-// Calling Rebuild invalidates the matrix returned by the previous
-// Rebuild on this patcher: its dirty nodes' cube storage is recycled.
-// A panic in a kerneling worker is raised again on the calling
-// goroutine once every worker has stopped.
+// Calling Rebuild supersedes the matrix returned by the previous
+// Rebuild on this patcher: its dirty nodes' cube storage is recycled,
+// the new matrix is assembled in its slabs, lists, label bands and
+// column table, and its dense index's arrays are refilled by the new
+// matrix's first Index. The old matrix reads as empty from then on,
+// and in the invariants build any access to it panics. A panic in a
+// kerneling worker is raised again on the calling goroutine once every
+// worker has stopped.
 func (p *Patcher) Rebuild(ctx context.Context, nw *network.Network, nodes []sop.Var, workers int) *Matrix {
 	start := time.Now()
 	pending := p.Pending(nodes)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -255,13 +256,16 @@ func TestPatcherReusesArenas(t *testing.T) {
 }
 
 // TestPatcherSkipsCleanNodes asserts rebuilds-avoided accounting: a
-// second Rebuild with nothing dirty kernels zero nodes.
+// second Rebuild with nothing dirty kernels zero nodes and yields the
+// same matrix. The second Rebuild supersedes the first matrix and
+// refills its storage, so the first is compared through a deep
+// snapshot taken before it.
 func TestPatcherSkipsCleanNodes(t *testing.T) {
 	ctx := context.Background()
 	nw := network.PaperExample()
 	nodes := nw.NodeVars()
 	p := NewPatcher(0, kernels.Options{})
-	m1 := p.Rebuild(ctx, nw, nodes, 1)
+	m1 := snapshot(p.Rebuild(ctx, nw, nodes, 1), nw.Names)
 	kerneled := p.Stats().NodesKerneled
 	m2 := p.Rebuild(ctx, nw, nodes, 1)
 	if p.Stats().NodesKerneled != kerneled {
@@ -270,5 +274,53 @@ func TestPatcherSkipsCleanNodes(t *testing.T) {
 	if p.Stats().NodesReused != int64(len(nodes)) {
 		t.Fatalf("NodesReused = %d, want %d", p.Stats().NodesReused, len(nodes))
 	}
-	requireIdentical(t, m1, m2)
+	requireIdentical(t, m1.m, m2)
+	if d := m2.Dump(nw.Names); d != m1.dump {
+		t.Fatalf("Dump differs:\n%s\nvs\n%s", m1.dump, d)
+	}
+	m1.requireIndex(t, m2.Index())
+}
+
+// matrixSnapshot is a deep copy of a matrix, its Dump and its dense
+// index, which stays valid when the matrix's storage is refilled.
+type matrixSnapshot struct {
+	m    *Matrix
+	dump string
+	ix   Index
+}
+
+// snapshot deep-copies m's rows, columns, Dump and index arrays.
+func snapshot(m *Matrix, names *sop.Names) matrixSnapshot {
+	c := &Matrix{entries: m.entries, maxCubeID: m.maxCubeID}
+	for _, r := range m.rows {
+		c.rows = append(c.rows, &Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel.Clone(), Entries: slices.Clone(r.Entries)})
+	}
+	for _, col := range m.cols {
+		c.cols = append(c.cols, &Col{ID: col.ID, Cube: col.Cube.Clone(), Hash: col.Hash, RowIDs: slices.Clone(col.RowIDs)})
+	}
+	ix := m.Index()
+	clone := func(lists [][]int32) [][]int32 {
+		out := make([][]int32, len(lists))
+		for i, l := range lists {
+			out[i] = slices.Clone(l)
+		}
+		return out
+	}
+	return matrixSnapshot{m: c, dump: m.Dump(names), ix: Index{
+		RowIDs: slices.Clone(ix.RowIDs), ColIDs: slices.Clone(ix.ColIDs),
+		ColRows: clone(ix.ColRows), RowRefs: clone(ix.RowRefs),
+		MaxCubeID: ix.MaxCubeID, MaxRowLen: ix.MaxRowLen,
+	}}
+}
+
+// requireIndex asserts that ix holds the snapshot's index arrays.
+func (s matrixSnapshot) requireIndex(t *testing.T, ix *Index) {
+	t.Helper()
+	same := func(a, b [][]int32) bool { return slices.EqualFunc(a, b, slices.Equal[[]int32]) }
+	if !slices.Equal(s.ix.RowIDs, ix.RowIDs) || !slices.Equal(s.ix.ColIDs, ix.ColIDs) ||
+		!same(s.ix.ColRows, ix.ColRows) || !same(s.ix.RowRefs, ix.RowRefs) ||
+		s.ix.MaxCubeID != ix.MaxCubeID || s.ix.MaxRowLen != ix.MaxRowLen {
+		t.Fatalf("index differs: want %+v, got RowIDs %v ColIDs %v ColRows %v RowRefs %v MaxCubeID %d MaxRowLen %d",
+			s.ix, ix.RowIDs, ix.ColIDs, ix.ColRows, ix.RowRefs, ix.MaxCubeID, ix.MaxRowLen)
+	}
 }

@@ -112,7 +112,12 @@ func Sends(mats []*kcm.Matrix, o Ownership, i int) []int {
 // from its global label by arithmetic (kcm.Compose). Peers' matrices
 // and ownership slices are only read, so every processor may assemble
 // concurrently.
-func AssembleProc(mats []*kcm.Matrix, o Ownership, j int) *kcm.Matrix {
+//
+// prev, when not nil, is an L-matrix an earlier AssembleProc returned
+// and the caller has done with, such as processor j's from the last
+// call: the new L-matrix is filled into its storage (kcm.Compose), and
+// prev reads as empty afterwards.
+func AssembleProc(mats []*kcm.Matrix, o Ownership, j int, prev *kcm.Matrix) *kcm.Matrix {
 	labels := make([]int64, len(o[j]))
 	for k, c := range o[j] {
 		labels[k] = c.Label
@@ -133,7 +138,7 @@ func AssembleProc(mats []*kcm.Matrix, o Ownership, j int) *kcm.Matrix {
 		}
 		parts[i].To = to
 	}
-	l := kcm.Compose(parts, j, labels)
+	l := kcm.Compose(parts, j, labels, prev)
 	if invariant.Enabled {
 		checkLegs(mats, o, j, l)
 	}
@@ -168,7 +173,7 @@ func Assemble(mats []*kcm.Matrix, o Ownership) ([]*kcm.Matrix, ExchangeStats) {
 	ls := make([]*kcm.Matrix, len(mats))
 	stats := ExchangeStats{Words: make([][]int, len(mats))}
 	for p := range mats {
-		ls[p] = AssembleProc(mats, o, p)
+		ls[p] = AssembleProc(mats, o, p, nil)
 		stats.Words[p] = Sends(mats, o, p)
 	}
 	return ls, stats

@@ -16,7 +16,10 @@ import (
 // Invalidate before the next search. The memo rebinds, empty, when the
 // Cover is searched on another index snapshot, so one Cover can serve
 // several matrices searched one after another, as lshape.ExtractCall's
-// L-matrices are.
+// L-matrices are. Reset starts a Cover over for a new matrix in the
+// storage it already has, as extract.Repeat does at each call and each
+// core.LShaped worker slot at each of its calls. The zero Cover is
+// empty, and Reset sizes it for a matrix.
 //
 // A Cover is not safe for concurrent use, and must not be marked or
 // invalidated while a search through it runs.
@@ -37,6 +40,19 @@ type Cover struct {
 // NewCover returns a Cover with an empty set sized to m's cube ids.
 func NewCover(m *kcm.Matrix) *Cover {
 	return &Cover{set: bitset.New(int(m.MaxCubeID()) + 1)}
+}
+
+// Reset empties the Cover for searches of m, as NewCover(m) would
+// return it, in the storage it already has: the set's words, sized to
+// m's cube ids, and the memo's roots, freshness bits and cube index,
+// which the next search refills. The set is cleared rather than kept,
+// since a cube id of one matrix names another cube in the next. Quiet
+// is left as it is.
+//
+//repolint:allow indexinvalidate -- Reset drops the whole memo, every view Invalidate could make stale, so it needs no per-cube invalidation
+func (c *Cover) Reset(m *kcm.Matrix) {
+	c.set = zeroed(c.set, bitset.Words(int(m.MaxCubeID())+1))
+	c.memo.ix = nil // unbound, so the next search rebuilds it in place
 }
 
 // Has reports whether cube id is in the set.

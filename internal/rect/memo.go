@@ -94,13 +94,27 @@ func (mm *memo) put(dc int, cands []Rect, visits, evals, listCap int) {
 	e.visits, e.evals, e.cap = visits, evals, listCap
 }
 
-// rebuild re-targets the memo at a new index snapshot, empty.
+// rebuild re-targets the memo at a new index snapshot, empty, reusing
+// the arrays of the last one. Entries are cleared, but their
+// candidates are not recycled: search results share them.
 func (mm *memo) rebuild(ix *kcm.Index) {
 	nc := len(ix.ColIDs)
 	mm.ix = ix
-	mm.roots = make([]rootMemo, nc)
-	mm.fresh = bitset.New(nc)
+	mm.roots = zeroed(mm.roots, nc)
+	mm.fresh = zeroed(mm.fresh, bitset.Words(nc))
 	mm.cubes.build(ix)
+}
+
+// zeroed returns s with length n and every element zero, reusing its
+// array when it holds n elements. Every slice it returns is zero past
+// its length too, so the old elements it clears are the only ones a
+// later call must clear.
+func zeroed[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return make([]T, n)
+	}
+	clear(s)
+	return s[:n]
 }
 
 // entryRef locates one matrix entry: Rows[row].Entries[k] of the
@@ -118,6 +132,8 @@ type cubeIndex struct {
 	bands []idBand // indexed by id / kcm.Stride
 	off   []int32
 	refs  []entryRef
+	// hi is build's scratch: each band's largest id.
+	hi []int64
 }
 
 // idBand maps one label band's ids lo .. lo+n-1 to slots base ..
@@ -150,13 +166,16 @@ func (x *cubeIndex) entries(id int64) []entryRef {
 	return x.refs[x.off[i]:x.off[i+1]]
 }
 
-// build indexes ix's entries by cube id: one pass finds each band's
-// id range, then a counting sort over the slots (count entries per
-// slot, prefix-sum into starts, fill while advancing each start to its
-// end, then shift the ends back into starts).
+// build indexes ix's entries by cube id, in the arrays of the last
+// build: one pass finds each band's id range, then a counting sort over
+// the slots (count entries per slot, prefix-sum into starts, fill while
+// advancing each start to its end, then shift the ends back into
+// starts).
 func (x *cubeIndex) build(ix *kcm.Index) {
-	bands := make([]idBand, ix.MaxCubeID/kcm.Stride+1)
-	hi := make([]int64, len(bands))
+	nb := int(ix.MaxCubeID/kcm.Stride) + 1
+	x.bands = zeroed(x.bands, nb)
+	x.hi = zeroed(x.hi, nb)
+	bands, hi := x.bands, x.hi
 	for b := range bands {
 		bands[b].lo = math.MaxInt64
 	}
@@ -179,8 +198,8 @@ func (x *cubeIndex) build(ix *kcm.Index) {
 		bands[b].n = int32(hi[b] - bands[b].lo + 1)
 		slots += int(bands[b].n)
 	}
-	x.bands = bands
-	off := make([]int32, slots+1)
+	x.off = zeroed(x.off, slots+1)
+	off := x.off
 	for _, row := range ix.Rows {
 		for _, e := range row.Entries {
 			i, _ := x.slot(e.CubeID)
@@ -190,7 +209,8 @@ func (x *cubeIndex) build(ix *kcm.Index) {
 	for i := 1; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	refs := make([]entryRef, n)
+	x.refs = zeroed(x.refs, n)
+	refs := x.refs
 	for r, row := range ix.Rows {
 		for k, e := range row.Entries {
 			i, _ := x.slot(e.CubeID)
@@ -200,5 +220,4 @@ func (x *cubeIndex) build(ix *kcm.Index) {
 	}
 	copy(off[1:], off)
 	off[0] = 0
-	x.off, x.refs = off, refs
 }
