@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/tables"
 )
 
@@ -41,15 +42,12 @@ func main() {
 		cfg.Circuits = strings.Split(*circuits, ",")
 	}
 	if *procs != "" {
-		cfg.Procs = nil
-		for _, s := range strings.Split(*procs, ",") {
-			p, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tables:", err)
-				os.Exit(1)
-			}
-			cfg.Procs = append(cfg.Procs, p)
+		p, err := parseProcs(*procs)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tables:", err)
+			os.Exit(1)
 		}
+		cfg.Procs = p
 	}
 	h := tables.New(cfg)
 
@@ -86,4 +84,21 @@ func main() {
 	if *model != "" {
 		tables.FprintModelTable(os.Stdout, *model, h.SpeedupModelTable(*model))
 	}
+}
+
+// parseProcs parses the -procs list: comma-separated processor counts,
+// each within 1..core.MaxProcs.
+func parseProcs(list string) ([]int, error) {
+	var procs []int
+	for _, s := range strings.Split(list, ",") {
+		p, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil {
+			return nil, err
+		}
+		if err := core.CheckProcs(p); err != nil {
+			return nil, err
+		}
+		procs = append(procs, p)
+	}
+	return procs, nil
 }

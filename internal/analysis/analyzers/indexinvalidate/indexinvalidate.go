@@ -7,8 +7,8 @@
 // must reach the named invalidation hook — a method call or a write to
 // the hook field — directly or through same-package callees, before it
 // returns. Fields the hook itself writes are the caches; writing only
-// those (a cache fill such as Matrix.Index or Matrix.SortedColIDs) is
-// not a structural mutation and needs no invalidation.
+// those (a cache fill such as Matrix.Index) is not a structural
+// mutation and needs no invalidation.
 package indexinvalidate
 
 import (

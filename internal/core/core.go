@@ -165,8 +165,8 @@ func Speedup(base, run RunResult) float64 {
 }
 
 // MaxProcs caps the virtual processor count a user may ask of the
-// parallel drivers: factord's job spec, cmd/factor and the shell's gkx
-// all enforce it.
+// parallel drivers: factord's job spec, cmd/factor, cmd/tables and the
+// shell's gkx all enforce it.
 const MaxProcs = 64
 
 // CheckProcs rejects a processor count outside 1..MaxProcs, before a

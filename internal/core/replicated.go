@@ -164,13 +164,12 @@ func replicatedCall(ctx context.Context, nets []*network.Network, active []sop.V
 
 			// Phase 2: one deterministic assemble, published to every
 			// replica by the barrier. The coordinator pre-builds the
-			// lazy dense index and sorted column list so the shared
-			// matrix is strictly read-only during the cover.
+			// lazy dense index so the shared matrix is strictly
+			// read-only during the cover.
 			if w == 0 {
 				pat.Commit(bs...)
 				shared = pat.Assemble(active)
 				shared.Index()
-				shared.SortedColIDs()
 			}
 			if !mc.Barrier(w) {
 				return

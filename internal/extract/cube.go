@@ -84,36 +84,35 @@ func CubeExtract(nw *network.Network, nodes []sop.Var, maxIters int, opt Options
 // Every literal of a row's cube is an entry of weight 1 with a cube id
 // of its own, so covering an entry spends one literal occurrence.
 func cubeLiteralMatrix(nw *network.Network, nodes []sop.Var) *kcm.Matrix {
-	var rows []*kcm.Row
+	var rows []kcm.Row
 	var cubes []sop.Cube
 	var lits []sop.Lit
 	for _, v := range nodes {
 		for _, c := range nw.Node(v).Fn.Cubes() {
 			if len(c) >= 2 {
-				rows = append(rows, &kcm.Row{ID: int64(len(rows) + 1), Node: v})
+				rows = append(rows, kcm.Row{ID: int64(len(rows) + 1), Node: v})
 				cubes = append(cubes, c)
 				lits = append(lits, c...)
 			}
 		}
 	}
+	// One entry per literal occurrence, its cube id the running count.
+	entries := make([]kcm.Entry, 0, len(lits))
 	slices.Sort(lits)
 	lits = slices.Compact(lits)
-	m := kcm.NewMatrix()
+	cols := make([]kcm.Col, len(lits))
 	for i, l := range lits {
-		m.InternColumn(sop.Cube{l}, int64(i+1))
+		cols[i] = kcm.Col{ID: int64(i + 1), Cube: sop.Cube{l}}
 	}
-	cubeID := int64(0)
-	for i, row := range rows {
-		row.Entries = make([]kcm.Entry, len(cubes[i]))
-		for k, l := range cubes[i] {
-			cubeID++
+	for i, c := range cubes {
+		start := len(entries)
+		for _, l := range c {
 			col, _ := slices.BinarySearch(lits, l)
-			row.Entries[k] = kcm.Entry{Col: int64(col + 1), CubeID: cubeID, Weight: 1}
+			entries = append(entries, kcm.Entry{Col: int64(col + 1), CubeID: int64(len(entries) + 1), Weight: 1})
 		}
-		m.AddRow(row)
+		rows[i].Entries = entries[start:]
 	}
-	m.SortColRows()
-	return m
+	return kcm.New(cols, rows)
 }
 
 // substituteCube rewrites every cube of fn containing c to use the

@@ -213,7 +213,7 @@ func TestGroupRowsDeterministic(t *testing.T) {
 	for _, r := range m.Rows() {
 		rows = append(rows, r.ID)
 	}
-	r := rectOf(rows[:4], m.SortedColIDs()[:2])
+	r := rectOf(rows[:4], m.Index().ColIDs[:2])
 	g1 := GroupRows(m, r)
 	g2 := GroupRows(m, r)
 	if len(g1) != len(g2) {

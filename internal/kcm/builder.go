@@ -1,6 +1,8 @@
 package kcm
 
 import (
+	"slices"
+
 	"repro/internal/kernels"
 	"repro/internal/network"
 	"repro/internal/sop"
@@ -13,11 +15,16 @@ import (
 //
 // Builder and Merge are the reference construction: the direct,
 // one-node-at-a-time transcription of §2 and §5.2. No production path
-// uses them — every matrix is built by a Patcher — but tests compare
-// the Patcher against them and build multi-processor fixtures with
-// them, so they stay under a testonly allow.
+// uses them, but tests compare the Patcher against them and build
+// multi-processor fixtures with them, so they stay under a testonly
+// allow. The Builder collects its rows and columns, and Matrix fills
+// them through New.
 type Builder struct {
-	m       *Matrix
+	rows []Row
+	cols []Col
+	// colTab interns the columns by cube; a slot holds a position in
+	// cols.
+	colTab  colTable
 	rowSeq  int64
 	colSeq  int64
 	cubeSeq int64
@@ -40,7 +47,6 @@ type Builder struct {
 func NewBuilder(proc int, opts kernels.Options) *Builder {
 	base := int64(proc) * Stride
 	return &Builder{
-		m:       NewMatrix(),
 		rowSeq:  base,
 		colSeq:  base,
 		cubeSeq: base,
@@ -64,16 +70,12 @@ func (b *Builder) AddNode(nw *network.Network, v sop.Var) int {
 // AddFunction is AddNode for an explicit function, for tests that
 // build matrices from generated expressions without a network.
 //
-// Column row-lists are restored lazily: Matrix() re-sorts any column
-// that saw an out-of-order insertion, so a build over many nodes pays
-// for column sorting once at finalize instead of once per node.
-//
 //repolint:allow testonly -- reference Builder API for kcm's and rect's tests
 func (b *Builder) AddFunction(v sop.Var, fn sop.Expr) int {
 	b.pairs = b.kern.All(fn, b.opts, nil, nil, b.pairs[:0])
 	for _, p := range b.pairs {
 		b.rowSeq++
-		row := &Row{ID: b.rowSeq, Node: v, CoKernel: p.CoKernel}
+		row := Row{ID: b.rowSeq, Node: v, CoKernel: p.CoKernel}
 		row.Entries = make([]Entry, 0, p.Kernel.NumCubes())
 		for _, kc := range p.Kernel.Cubes() {
 			col := b.internColumn(kc)
@@ -82,23 +84,31 @@ func (b *Builder) AddFunction(v sop.Var, fn sop.Expr) int {
 				continue // contradictory: not a real function cube
 			}
 			row.Entries = append(row.Entries, Entry{
-				Col:    col.ID,
+				Col:    col,
 				CubeID: b.cubeID(v, fc),
 				Weight: fc.Weight(),
 			})
 		}
-		b.m.addRow(row)
+		b.rows = append(b.rows, row)
 	}
 	return len(b.pairs)
 }
 
-func (b *Builder) internColumn(cube sop.Cube) *Col {
-	if c := b.m.ColByCube(cube, kernels.HashCube(cube)); c != nil {
-		return c
+// internColumn returns the label of cube's column, adding the column
+// on first sight.
+func (b *Builder) internColumn(cube sop.Cube) int64 {
+	h := kernels.HashCube(cube)
+	if k := b.colTab.find(h, cube, b.colCube); k >= 0 {
+		return b.cols[k].ID
 	}
 	b.colSeq++
-	return b.m.internCol(cube, b.colSeq)
+	b.colTab.insert(h, int32(len(b.cols)))
+	b.cols = append(b.cols, Col{ID: b.colSeq, Cube: cube})
+	return b.colSeq
 }
+
+// colCube returns the cube of the column at position pos.
+func (b *Builder) colCube(pos int32) sop.Cube { return b.cols[pos].Cube }
 
 func (b *Builder) cubeID(v sop.Var, fc sop.Cube) int64 {
 	t := b.cubeIDs[v]
@@ -115,14 +125,13 @@ func (b *Builder) cubeID(v sop.Var, fc sop.Cube) int64 {
 	return b.cubeSeq
 }
 
-// Matrix returns the matrix built so far, with column row-lists
-// restored to sorted order. The builder may keep adding nodes
-// afterwards; the matrix is live.
+// Matrix returns the matrix of the nodes added so far, filled through
+// New. The builder may keep adding nodes afterwards; each call returns
+// a new matrix.
 //
 //repolint:allow testonly -- reference Builder API for kcm's and rect's tests
 func (b *Builder) Matrix() *Matrix {
-	b.m.sortColRows()
-	return b.m
+	return New(b.cols, b.rows)
 }
 
 // cubeTable is the second level of the cube-id interner: an
@@ -192,77 +201,40 @@ func (t *cubeTable) grow() {
 	}
 }
 
-// Merge folds src into dst, unifying columns that hold the same
-// kernel cube (the smaller label wins, keeping labels deterministic
-// regardless of merge order) and re-labeling src's entries
-// accordingly. Rows are assumed disjoint from dst's, as when each
-// processor's Builder kernels a disjoint node set.
+// Merge returns the union of dst and src: dst's rows, then src's, over
+// dst's columns, then the columns of src whose cubes dst lacks. A cube
+// both hold is one column under the smaller of its two labels, which
+// keeps labels deterministic regardless of merge order, and every
+// entry follows its column's label. Row and column labels are assumed
+// disjoint, as when each processor's Builder kernels a disjoint node
+// set. dst and src are only read.
 //
 //repolint:allow testonly -- the reference merge: kcm's tests compare multi-processor Patcher builds against it, and rect's tests merge band fixtures with it
-func Merge(dst, src *Matrix) {
-	remap := map[int64]int64{}
-	for _, sc := range src.cols {
+func Merge(dst, src *Matrix) *Matrix {
+	var cols []Col
+	to := map[int64]int64{} // each column label of dst and src to its merged label
+	for _, c := range dst.Cols() {
+		cols = append(cols, Col{ID: c.ID, Cube: c.Cube})
+		to[c.ID] = c.ID
+	}
+	for _, sc := range src.Cols() {
 		if dc := dst.ColByCube(sc.Cube, sc.Hash); dc != nil {
-			if sc.ID < dc.ID {
-				// Relabel dst's column to the smaller id. Only the
-				// rows listed on the column carry an entry for it, so
-				// the relabel walks dc.RowIDs instead of every row.
-				dst.colAt.set(dc.ID, nil)
-				oldID := dc.ID
-				dc.ID = sc.ID
-				dst.colAt.set(dc.ID, dc)
-				dst.invalidate()
-				for _, rid := range dc.RowIDs {
-					relabelEntry(dst.Row(rid), oldID, dc.ID)
-				}
+			l := min(sc.ID, dc.ID)
+			cols[dc.pos].ID, to[dc.ID], to[sc.ID] = l, l, l
+			continue
+		}
+		cols = append(cols, Col{ID: sc.ID, Cube: sc.Cube})
+		to[sc.ID] = sc.ID
+	}
+	var rows []Row
+	for _, m := range []*Matrix{dst, src} {
+		for _, r := range m.Rows() {
+			nr := Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel, Entries: slices.Clone(r.Entries)}
+			for i := range nr.Entries {
+				nr.Entries[i].Col = to[nr.Entries[i].Col]
 			}
-			remap[sc.ID] = dc.ID
-		} else {
-			dst.internCol(sc.Cube, sc.ID)
-			remap[sc.ID] = sc.ID
+			rows = append(rows, nr)
 		}
 	}
-	for _, sr := range src.rows {
-		nr := &Row{ID: sr.ID, Node: sr.Node, CoKernel: sr.CoKernel}
-		nr.Entries = make([]Entry, 0, len(sr.Entries))
-		for _, e := range sr.Entries {
-			e.Col = remap[e.Col]
-			nr.Entries = append(nr.Entries, e)
-		}
-		dst.addRow(nr)
-	}
-	dst.sortColRows()
-}
-
-// relabelEntry rewrites the single entry of r in column oldID to
-// newID and shifts it left to its sorted position. newID is always
-// smaller than oldID (smaller-label-wins), so only a leftward shift
-// can be needed.
-func relabelEntry(r *Row, oldID, newID int64) {
-	i, ok := findEntry(r.Entries, oldID)
-	if !ok {
-		return
-	}
-	e := r.Entries[i]
-	e.Col = newID
-	for i > 0 && r.Entries[i-1].Col > newID {
-		r.Entries[i] = r.Entries[i-1]
-		i--
-	}
-	r.Entries[i] = e
-}
-
-// findEntry locates the entry with the given column id in a
-// column-sorted entry slice.
-func findEntry(entries []Entry, col int64) (int, bool) {
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if entries[mid].Col < col {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(entries) && entries[lo].Col == col
+	return New(cols, rows)
 }

@@ -147,11 +147,11 @@ func (m *Matrix) firstLabel() int64 {
 
 // finish files the rows and columns by label, each band allocated at
 // most once at its exact length, gives every column its RowIDs from
-// one slab, then drops the derived views. rows holds every row of the
+// one slab, then drops the cached index. rows holds every row of the
 // matrix in ascending id order, and colRefs the column position of
 // each of their entries, row after row (within a row, in any order).
-// The matrix must hold slabs (see refill), whose count and RowIDs
-// arrays finish refills.
+// The RowIDs slab and the per-column counts are refilled in the
+// matrix's slabs.
 func (m *Matrix) finish(rows []Row, colRefs []int32) {
 	s := m.slabs
 	m.rowAt.fill(m.rows, rowLabel)

@@ -19,11 +19,13 @@ import (
 // property the §3 leftmost-column decomposition and all tie-breaking
 // depend on.
 //
-// An Index is a snapshot: it is built lazily by Matrix.Index, cached,
-// and dropped on any structural mutation. Callers must not mutate it.
-// The first index of a matrix that a Patcher or Compose refilled
-// reuses the arrays of the superseded matrix's index, but is always a
-// new Index value, so a search memo bound to the old one rebinds.
+// An Index is a snapshot: it is built lazily by Matrix.Index and
+// cached. A matrix is not written after its fill, so the cache is
+// dropped only when a later fill takes over the matrix's storage.
+// Callers must not mutate it. The first index of a matrix that a
+// Patcher or Compose refilled reuses the arrays of the superseded
+// matrix's index, but is always a new Index value, so a search memo
+// bound to the old one rebinds.
 type Index struct {
 	// RowIDs and ColIDs map dense positions back to labels, each in
 	// ascending label order.
@@ -60,14 +62,14 @@ type Index struct {
 
 // Index returns the dense view of the matrix, building and caching it
 // on first use. The returned index is shared and read-only; it remains
-// valid until the next structural mutation of the matrix.
+// valid as long as the matrix does.
 func (m *Matrix) Index() *Index {
 	m.live()
 	if m.index != nil {
 		return m.index
 	}
 	var old Index
-	if m.slabs != nil && m.slabs.ix != nil {
+	if m.slabs.ix != nil {
 		old, m.slabs.ix = *m.slabs.ix, nil
 	}
 	nr, nc := len(m.rows), len(m.cols)

@@ -9,6 +9,10 @@
 // at p·Stride+1, so concurrently generated matrices carry globally
 // consistent labels no matter the interleaving.
 //
+// A matrix is filled once, by Patcher.Assemble, Compose or New, and is
+// read-only from then on; only a later fill into its storage retires
+// it (see refill).
+//
 // The package is determinism-critical: label order drives the Figure 1
 // enumeration, so iteration order must never depend on Go map order
 // (DESIGN.md §7).
@@ -79,21 +83,17 @@ type Col struct {
 	Hash uint64
 	// RowIDs lists the rows with an entry in this column, sorted.
 	RowIDs []int64
-	// unsorted is set when an AddRow appended a row id out of order;
-	// sortColRows only pays for sorting on such columns. Builder
-	// insertion draws strictly increasing row ids, so in the common
-	// case no column ever needs an actual sort.
-	unsorted bool
-	// pos is the column's index in Matrix.cols, letting the bulk
-	// assemble path address per-column scratch by slice index instead
-	// of map lookups.
+	// pos is the column's index in Matrix.cols, letting the fills
+	// address per-column scratch by slice index instead of map
+	// lookups.
 	pos int32
 }
 
-// Matrix is a sparse co-kernel cube matrix. Every structural mutation
-// must drop the cached derived views (sortedCols, the dense index) via
-// invalidate; repolint's indexinvalidate analyzer enforces this for
-// all exported entry points.
+// Matrix is a sparse co-kernel cube matrix. Patcher.Assemble, Compose
+// and New fill it through finish, which drops the cached dense index
+// via invalidate, and nothing writes it afterwards; repolint's
+// indexinvalidate analyzer checks that every exported function that
+// writes a Matrix reaches invalidate.
 //
 //repolint:invalidate invalidate
 type Matrix struct {
@@ -109,43 +109,92 @@ type Matrix struct {
 	// maxCubeID tracks the largest CubeID of any entry, sizing the
 	// dense covered-cube bitsets of internal/rect.
 	maxCubeID int64
-	// sortedCols caches SortedColIDs; index caches the dense Index.
-	// Both are dropped by any structural mutation (addRow, internCol,
-	// Merge relabeling).
-	sortedCols []int64
-	index      *Index
-	// slabs is the storage a Patcher or Compose filled the matrix
-	// into, nil for a matrix built row by row; gen is the fill's
-	// generation, which the storage's gen passes once a newer fill
-	// takes it over (see refill).
+	// index caches the dense Index.
+	index *Index
+	// slabs is the storage the matrix was filled into; gen is the
+	// fill's generation, which the storage's gen passes once a newer
+	// fill takes it over (see refill).
 	slabs *slabs
 	gen   uint64
 }
 
-// invalidate drops the cached sorted-column list and dense index after
-// a structural mutation.
+// invalidate drops the cached dense index; finish calls it once the
+// fill is complete.
 func (m *Matrix) invalidate() {
-	m.sortedCols = nil
 	m.index = nil
 }
 
-// NewMatrix returns an empty matrix.
-func NewMatrix() *Matrix { return &Matrix{} }
+// New returns the matrix of the given columns and rows, filled into
+// new storage. A column supplies its label and its cube; New derives
+// its hash, position and RowIDs. Each row's entries name their
+// columns by label, in any order. Cols() and Rows() keep the given
+// order, and every column's RowIDs ascend whatever order the rows
+// come in. Labels are at least 1; no two columns share a label or a
+// cube, and no two rows share a label. The rows' entries are copied,
+// so the caller keeps its slices.
+func New(cols []Col, rows []Row) *Matrix {
+	m := refill(nil)
+	s := m.slabs
+	s.cols = make([]Col, len(cols))
+	m.cols = make([]*Col, len(cols))
+	for k, c := range cols {
+		h := kernels.HashCube(c.Cube)
+		s.cols[k] = Col{ID: c.ID, Cube: c.Cube, Hash: h, pos: int32(k)}
+		m.cols[k] = &s.cols[k]
+		m.colTab.insert(h, int32(k))
+	}
+	// The entries' columns are found by label before finish files
+	// the columns for good.
+	m.colAt.fill(m.cols, colLabel)
+
+	// The slab holds the rows in ascending label order, the order
+	// finish fills RowIDs in; Rows() lists them as given.
+	order := make([]int, len(rows))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(rows[a].ID, rows[b].ID) })
+	for _, r := range rows {
+		m.entries += len(r.Entries)
+	}
+	s.rows = make([]Row, len(rows))
+	// Sized exactly, so no append moves the entries a row holds.
+	s.entries = make([]Entry, 0, m.entries)
+	s.colRefs = make([]int32, 0, m.entries)
+	m.rows = make([]*Row, len(rows))
+	for k, i := range order {
+		r := rows[i]
+		start := len(s.entries)
+		s.entries = append(s.entries, r.Entries...)
+		r.Entries = s.entries[start:len(s.entries):len(s.entries)]
+		slicesSortEntries(r.Entries)
+		for _, e := range r.Entries {
+			s.colRefs = append(s.colRefs, m.colAt.get(e.Col).pos)
+			m.maxCubeID = max(m.maxCubeID, e.CubeID)
+		}
+		s.rows[k] = r
+		m.rows[i] = &s.rows[k]
+	}
+	m.finish(s.rows, s.colRefs)
+	return m
+}
 
 // live asserts, in the invariants build, that no newer fill has
 // taken over m's storage: a superseded matrix reads as empty, and
 // reading it is a use-after-refill bug (see refill).
 func (m *Matrix) live() {
-	if invariant.Enabled && m.slabs != nil {
+	if invariant.Enabled {
 		invariant.Assert(m.gen == m.slabs.gen,
 			"matrix of fill %d read after fill %d took over its storage", m.gen, m.slabs.gen)
 	}
 }
 
-// Rows returns the rows in insertion order (read-only).
+// Rows returns the rows in the order the fill was given them
+// (read-only).
 func (m *Matrix) Rows() []*Row { m.live(); return m.rows }
 
-// Cols returns the columns in insertion order (read-only).
+// Cols returns the columns in the order the fill was given them
+// (read-only).
 func (m *Matrix) Cols() []*Col { m.live(); return m.cols }
 
 // Row returns the row labeled id, or nil.
@@ -181,95 +230,9 @@ func (m *Matrix) Sparsity() float64 {
 	return float64(m.entries) / (float64(len(m.rows)) * float64(len(m.cols)))
 }
 
-// SortedColIDs returns all column ids in increasing label order; the
-// divide-and-conquer search of §3 slices this list across processors.
-// The result is cached until the next structural mutation (AddRow,
-// InternColumn, Merge) and must be treated as read-only.
-func (m *Matrix) SortedColIDs() []int64 {
-	m.live()
-	if m.sortedCols == nil && len(m.cols) > 0 {
-		ids := make([]int64, len(m.cols))
-		for i, c := range m.cols {
-			ids[i] = c.ID
-		}
-		slices.Sort(ids)
-		m.sortedCols = ids
-	}
-	return m.sortedCols
-}
-
 // MaxCubeID returns the largest CubeID appearing in any entry (0 for
 // an empty matrix). Dense covered-cube sets are sized by it.
 func (m *Matrix) MaxCubeID() int64 { m.live(); return m.maxCubeID }
-
-// InternColumn returns the column for cube, creating it with the
-// given id (at least 1) on first sight. An existing column keeps its
-// original id.
-func (m *Matrix) InternColumn(cube sop.Cube, id int64) *Col { m.live(); return m.internCol(cube, id) }
-
-// AddRow inserts a fully-formed row, labeled at least 1, whose entries
-// refer to already interned column ids, wiring the column
-// back-references. Callers inserting many rows should call SortColRows
-// afterwards.
-func (m *Matrix) AddRow(r *Row) {
-	m.live()
-	m.addRow(r)
-}
-
-// SortColRows restores the sorted-rows invariant on all columns after
-// bulk AddRow insertion.
-func (m *Matrix) SortColRows() {
-	m.live()
-	m.sortColRows()
-}
-
-// internCol returns the column for cube, creating it with the given
-// id on first sight. An existing column keeps its original id.
-func (m *Matrix) internCol(cube sop.Cube, id int64) *Col {
-	h := kernels.HashCube(cube)
-	if k := m.colTab.find(h, cube, m.colCube); k >= 0 {
-		return m.cols[k]
-	}
-	c := &Col{ID: id, Cube: cube, Hash: h, pos: int32(len(m.cols))}
-	m.cols = append(m.cols, c)
-	m.colTab.insert(h, c.pos)
-	m.colAt.set(id, c)
-	m.invalidate()
-	return c
-}
-
-// addRow inserts a fully-formed row, wiring column back-references.
-// Entries must already refer to interned column ids.
-func (m *Matrix) addRow(r *Row) {
-	slices.SortFunc(r.Entries, compareEntries)
-	m.rows = append(m.rows, r)
-	m.rowAt.set(r.ID, r)
-	for _, e := range r.Entries {
-		col := m.colAt.get(e.Col)
-		if n := len(col.RowIDs); n > 0 && col.RowIDs[n-1] > r.ID {
-			col.unsorted = true
-		}
-		col.RowIDs = append(col.RowIDs, r.ID)
-		m.entries++
-		if e.CubeID > m.maxCubeID {
-			m.maxCubeID = e.CubeID
-		}
-	}
-	m.invalidate()
-}
-
-// sortColRows restores the sorted-row invariant on all columns; called
-// after bulk insertion. Only columns that actually saw an out-of-order
-// insertion pay for a sort.
-func (m *Matrix) sortColRows() {
-	for _, c := range m.cols {
-		if !c.unsorted {
-			continue
-		}
-		slices.Sort(c.RowIDs)
-		c.unsorted = false
-	}
-}
 
 func compareEntries(a, b Entry) int { return cmp.Compare(a.Col, b.Col) }
 

@@ -142,7 +142,7 @@ func TestSparsity(t *testing.T) {
 	if s != want {
 		t.Fatalf("sparsity %f want %f", s, want)
 	}
-	if NewMatrix().Sparsity() != 0 {
+	if New(nil, nil).Sparsity() != 0 {
 		t.Fatal("empty matrix sparsity must be 0")
 	}
 }
@@ -150,16 +150,16 @@ func TestSparsity(t *testing.T) {
 func TestMergeUnifiesColumns(t *testing.T) {
 	_, m0, m1 := buildPaperPartition(t)
 	rows0, rows1 := len(m0.Rows()), len(m1.Rows())
-	Merge(m0, m1)
-	if len(m0.Rows()) != rows0+rows1 {
-		t.Fatalf("merged rows %d want %d", len(m0.Rows()), rows0+rows1)
+	m := Merge(m0, m1)
+	if len(m.Rows()) != rows0+rows1 {
+		t.Fatalf("merged rows %d want %d", len(m.Rows()), rows0+rows1)
 	}
 	// Distinct kernel cubes across both blocks: a,b,c,ce,f,de,g = 7.
-	if len(m0.Cols()) != 7 {
-		t.Fatalf("merged cols = %d want 7", len(m0.Cols()))
+	if len(m.Cols()) != 7 {
+		t.Fatalf("merged cols = %d want 7", len(m.Cols()))
 	}
 	// Shared cubes a,b,c,f keep proc 0's (smaller) labels.
-	for _, c := range m0.Cols() {
+	for _, c := range m.Cols() {
 		switch len(c.Cube) {
 		case 1:
 			// single-literal columns from proc 0's range unless
@@ -167,9 +167,9 @@ func TestMergeUnifiesColumns(t *testing.T) {
 		}
 	}
 	// Column back-references must be consistent.
-	for _, c := range m0.Cols() {
+	for _, c := range m.Cols() {
 		for _, rid := range c.RowIDs {
-			r := m0.Row(rid)
+			r := m.Row(rid)
 			if r == nil {
 				t.Fatalf("col %d references missing row %d", c.ID, rid)
 			}
@@ -181,12 +181,10 @@ func TestMergeUnifiesColumns(t *testing.T) {
 }
 
 func TestMergeKeepsSmallerLabel(t *testing.T) {
-	// Merge proc1's matrix into an empty one first, then proc0's:
-	// shared columns must still end with proc0's smaller labels.
+	// Merge proc0's matrix into proc1's: shared columns must still
+	// end with proc0's smaller labels.
 	_, m0, m1 := buildPaperPartition(t)
-	dst := NewMatrix()
-	Merge(dst, m1)
-	Merge(dst, m0)
+	dst := Merge(m1, m0)
 	for _, c := range dst.Cols() {
 		if len(c.RowIDs) == 0 {
 			continue
@@ -207,12 +205,8 @@ func TestMergeKeepsSmallerLabel(t *testing.T) {
 func TestMergeOrderIndependentLabels(t *testing.T) {
 	_, a0, a1 := buildPaperPartition(t)
 	_, b0, b1 := buildPaperPartition(t)
-	x := NewMatrix()
-	Merge(x, a0)
-	Merge(x, a1)
-	y := NewMatrix()
-	Merge(y, b1)
-	Merge(y, b0)
+	x := Merge(a0, a1)
+	y := Merge(b1, b0)
 	// Same column labels per cube either way.
 	for _, c := range x.Cols() {
 		yc := y.ColByCube(c.Cube, c.Hash)
@@ -272,10 +266,7 @@ func TestQuickMergeEqualsSequential(t *testing.T) {
 		for _, v := range nodes {
 			b[r.Intn(2)].AddNode(nw, v)
 		}
-		dst := NewMatrix()
-		Merge(dst, b[0].Matrix())
-		Merge(dst, b[1].Matrix())
-		got := tripleSet(nw, dst)
+		got := tripleSet(nw, Merge(b[0].Matrix(), b[1].Matrix()))
 		if len(got) != len(seqTriples) {
 			return false
 		}

@@ -1,7 +1,5 @@
 package kcm
 
-import "slices"
-
 // labelTable finds the row or column a label names with two slice
 // reads instead of a hash. Every label is a processor's offset plus a
 // sequence number (§5.2), so label l sits in band (l−1)/Stride at slot
@@ -29,19 +27,6 @@ func (t *labelTable[T]) get(l int64) *T {
 		return nil
 	}
 	return t.bands[b][s]
-}
-
-// set files v under label l ≥ 1, or empties l's slot when v is nil,
-// growing l's band as appending would.
-func (t *labelTable[T]) set(l int64, v *T) {
-	b, s := place(l)
-	if b >= int64(len(t.bands)) {
-		t.bands = append(t.bands, make([][]*T, b+1-int64(len(t.bands)))...)
-	}
-	if band := t.bands[b]; s >= int64(len(band)) {
-		t.bands[b] = slices.Grow(band, int(s)+1-len(band))[:s+1]
-	}
-	t.bands[b][s] = v
 }
 
 // fill files every element of items, labeled by label, into the

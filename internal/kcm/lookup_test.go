@@ -22,11 +22,13 @@ type lookupCase struct {
 	m    *kcm.Matrix
 }
 
-// lookupCases returns the three kinds of matrix the lookups serve: a
-// Patcher matrix; Compose's L-matrices at p=3 and p=6, whose legs
-// leave gaps in every band but their own; and matrices built with
-// InternColumn and AddRow, one with gaps and missing bands, one whose
-// labels run past Stride.
+// lookupCases returns the kinds of matrix the lookups serve: a Patcher
+// matrix; Compose's L-matrices at p=3 and p=6, whose legs leave gaps in
+// every band but their own; a reference Builder matrix, and the Merge
+// of two, whose rows arrive out of label order; and three matrices
+// whose rows and columns are given to New by hand: one with gaps and
+// missing bands, one whose labels run past Stride (the "addrow" cases),
+// and one whose rows and columns come in no label order.
 func lookupCases(t *testing.T) []lookupCase {
 	t.Helper()
 	nw, err := gen.Benchmark("misex3")
@@ -45,42 +47,84 @@ func lookupCases(t *testing.T) []lookupCase {
 		}
 	}
 
+	// Every other node on each of two processors; proc 1's matrix is
+	// merged first, so its rows precede proc 0's and the columns both
+	// hold take proc 0's labels.
+	bs := []*kcm.Builder{kcm.NewBuilder(0, kernels.Options{}), kcm.NewBuilder(1, kernels.Options{})}
+	for i, v := range nw.NodeVars() {
+		bs[i%2].AddNode(nw, v)
+	}
+	cases = append(cases,
+		lookupCase{"builder/proc1", bs[1].Matrix()},
+		lookupCase{"merge/proc1+proc0", kcm.Merge(bs[1].Matrix(), bs[0].Matrix())})
+
 	// Rows in bands 0, 1 and 3 and columns in bands 0 and 1, each
 	// band with unfilled slots; band 2 holds neither.
-	gaps := kcm.NewMatrix()
 	colLabels := []int64{2, 5, kcm.Stride, kcm.Stride + 1, kcm.Stride + 4}
+	cols := make([]kcm.Col, len(colLabels))
 	for k, l := range colLabels {
-		gaps.InternColumn(sop.Cube{sop.Pos(sop.Var(k))}, l)
+		cols[k] = kcm.Col{ID: l, Cube: sop.Cube{sop.Pos(sop.Var(k))}}
 	}
+	var rows []kcm.Row
 	cube := int64(0)
 	for _, id := range []int64{1, 3, kcm.Stride + 2, 3*kcm.Stride + 1} {
-		r := &kcm.Row{ID: id}
+		r := kcm.Row{ID: id}
 		for k, l := range colLabels {
 			if (int(id)+k)%2 == 0 {
 				cube++
 				r.Entries = append(r.Entries, kcm.Entry{Col: l, CubeID: cube, Weight: 2})
 			}
 		}
-		gaps.AddRow(r)
+		rows = append(rows, r)
 	}
-	gaps.SortColRows()
-	cases = append(cases, lookupCase{"addrow/gaps", gaps})
+	cases = append(cases, lookupCase{"addrow/gaps", kcm.New(cols, rows)})
 
 	// One processor's labels running past Stride into band 1.
-	past := kcm.NewMatrix()
 	n := int64(kcm.Stride + 3)
+	cols = make([]kcm.Col, n)
 	for l := int64(1); l <= n; l++ {
-		past.InternColumn(sop.Cube{sop.Pos(sop.Var(l))}, l)
+		cols[l-1] = kcm.Col{ID: l, Cube: sop.Cube{sop.Pos(sop.Var(l))}}
 	}
+	rows = nil
 	for _, id := range []int64{1, kcm.Stride - 1, kcm.Stride, kcm.Stride + 2} {
-		past.AddRow(&kcm.Row{ID: id, Entries: []kcm.Entry{
+		rows = append(rows, kcm.Row{ID: id, Entries: []kcm.Entry{
 			{Col: 1, CubeID: id, Weight: 2},
 			{Col: kcm.Stride + 1, CubeID: n + id, Weight: 2},
 			{Col: n, CubeID: 2*n + id, Weight: 2},
 		}})
 	}
-	past.SortColRows()
-	cases = append(cases, lookupCase{"addrow/past-stride", past})
+	cases = append(cases, lookupCase{"addrow/past-stride", kcm.New(cols, rows)})
+
+	// Rows and columns in no label order, across three bands, and
+	// entries out of column order.
+	colLabels = []int64{kcm.Stride + 3, 4, 2*kcm.Stride + 1, 1, kcm.Stride + 1}
+	cols = make([]kcm.Col, len(colLabels))
+	for k, l := range colLabels {
+		cols[k] = kcm.Col{ID: l, Cube: sop.Cube{sop.Pos(sop.Var(k))}}
+	}
+	rows = nil
+	rowLabels := []int64{2*kcm.Stride + 2, 3, kcm.Stride + 1, 1, 2*kcm.Stride + 1, 2}
+	for i, id := range rowLabels {
+		r := kcm.Row{ID: id}
+		for k := len(colLabels) - 1; k >= 0; k-- {
+			if (i+k)%3 != 0 {
+				r.Entries = append(r.Entries, kcm.Entry{Col: colLabels[k], CubeID: int64(10*i + k + 1), Weight: 2})
+			}
+		}
+		rows = append(rows, r)
+	}
+	unordered := kcm.New(cols, rows)
+	for i, r := range unordered.Rows() {
+		if r.ID != rowLabels[i] {
+			t.Fatalf("New's row %d is labeled %d, given %d", i, r.ID, rowLabels[i])
+		}
+	}
+	for k, c := range unordered.Cols() {
+		if c.ID != colLabels[k] {
+			t.Fatalf("New's column %d is labeled %d, given %d", k, c.ID, colLabels[k])
+		}
+	}
+	cases = append(cases, lookupCase{"new/unordered", unordered})
 	return cases
 }
 
@@ -217,9 +261,11 @@ func checkLookups(t *testing.T, m *kcm.Matrix, seen probeKinds) {
 	}
 }
 
-// TestIndexColRows requires each column's dense row list to be its
-// RowIDs in dense numbering, ascending, and the lists to hold one row
-// per matrix entry.
+// TestIndexColRows requires each column's RowIDs to be exactly the
+// rows with an entry in it, ascending, whatever order the fill took
+// the rows in; each column's dense row list to be its RowIDs in dense
+// numbering, ascending; and the lists to hold one row per matrix
+// entry.
 func TestIndexColRows(t *testing.T) {
 	for _, tc := range lookupCases(t) {
 		t.Run(tc.name, func(t *testing.T) { checkColRows(t, tc.m) })
@@ -229,6 +275,19 @@ func TestIndexColRows(t *testing.T) {
 // checkColRows is TestIndexColRows' check of one matrix.
 func checkColRows(t *testing.T, m *kcm.Matrix) {
 	t.Helper()
+	want := map[int64][]int64{}
+	for _, r := range m.Rows() {
+		for _, e := range r.Entries {
+			want[e.Col] = append(want[e.Col], r.ID)
+		}
+	}
+	for _, c := range m.Cols() {
+		w := want[c.ID]
+		slices.Sort(w)
+		if !slices.Equal(c.RowIDs, w) {
+			t.Fatalf("column %d: RowIDs %v, want its rows ascending: %v", c.ID, c.RowIDs, w)
+		}
+	}
 	ix := m.Index()
 	if len(ix.ColRows) != len(ix.Cols) {
 		t.Fatalf("%d row lists for %d columns", len(ix.ColRows), len(ix.Cols))

@@ -13,9 +13,11 @@ package kcm
 //   - re-kerneling only the nodes a division dirtied yields a matrix
 //     bit-identical to a from-scratch rebuild.
 //
-// The Patcher is the only production constructor of KC matrices:
-// Build is a one-shot Patcher, and drivers keep one across calls.
-// Compose builds L-shaped matrices from Patcher matrices.
+// Three functions fill KC matrices, all through finish: the Patcher's
+// Assemble (Build is a one-shot Patcher, and drivers keep one across
+// calls), Compose, which builds L-shaped matrices from Patcher
+// matrices, and New, which fills rows and columns its caller made,
+// such as the cube-literal matrix of internal/extract.
 //
 // Invalidation protocol: MarkDirty only queues invalidation; a dirty
 // node's arena chunks are recycled at the *next* Rebuild, so the

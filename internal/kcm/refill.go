@@ -1,11 +1,11 @@
 package kcm
 
-// slabs is the storage a Patcher or Compose fills a matrix into. A
-// fill takes over the storage of the matrix filled before it (refill),
-// so a Patcher that assembles once per factorization call, or an
-// L-shaped worker that composes once per call, allocates only when a
-// slab has to grow. The matrix's own lists, label bands and column
-// table move along with the slabs.
+// slabs is the storage Patcher.Assemble, Compose or New fills a matrix
+// into. A fill takes over the storage of the matrix filled before it
+// (refill), so a Patcher that assembles once per factorization call,
+// or an L-shaped worker that composes once per call, allocates only
+// when a slab has to grow. The matrix's own lists, label bands and
+// column table move along with the slabs.
 type slabs struct {
 	rows    []Row
 	entries []Entry
@@ -29,15 +29,15 @@ type slabs struct {
 }
 
 // refill returns an empty matrix that holds the storage of m, to be
-// filled in its place, or one with new storage when m is nil or was
-// built row by row. m is superseded: it reads as empty, and in the
-// invariants build any access to it panics. m's index, if it built
-// one, is kept for the new matrix's Index to refill; the Index value
-// itself is never reused, so a rect.Cover whose memo was bound to it
-// sees a new snapshot. Refilling a matrix that was already superseded
-// panics: its storage belongs to a newer matrix.
+// filled in its place, or one with new storage when m is nil. m is
+// superseded: it reads as empty, and in the invariants build any
+// access to it panics. m's index, if it built one, is kept for the new
+// matrix's Index to refill; the Index value itself is never reused, so
+// a rect.Cover whose memo was bound to it sees a new snapshot.
+// Refilling a matrix that was already superseded panics: its storage
+// belongs to a newer matrix.
 func refill(m *Matrix) *Matrix {
-	if m == nil || m.slabs == nil {
+	if m == nil {
 		return &Matrix{slabs: &slabs{}}
 	}
 	s := m.slabs

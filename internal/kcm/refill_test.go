@@ -119,10 +119,9 @@ func requireSame(t *testing.T, want, got *kcm.Matrix) {
 			t.Fatalf("ColByCube(%v) = %v, want column %d", w.Cube, c, w.ID)
 		}
 	}
-	if want.NumEntries() != got.NumEntries() || want.MaxCubeID() != got.MaxCubeID() ||
-		!slices.Equal(want.SortedColIDs(), got.SortedColIDs()) {
-		t.Fatalf("entries/maxCubeID/sorted columns: want %d/%d/%v, got %d/%d/%v", want.NumEntries(), want.MaxCubeID(),
-			want.SortedColIDs(), got.NumEntries(), got.MaxCubeID(), got.SortedColIDs())
+	if want.NumEntries() != got.NumEntries() || want.MaxCubeID() != got.MaxCubeID() {
+		t.Fatalf("entries/maxCubeID: want %d/%d, got %d/%d", want.NumEntries(), want.MaxCubeID(),
+			got.NumEntries(), got.MaxCubeID())
 	}
 	wi, gi := want.Index(), got.Index()
 	same := func(a, b [][]int32) bool { return slices.EqualFunc(a, b, slices.Equal[[]int32]) }
@@ -158,15 +157,14 @@ func TestSupersededMatrix(t *testing.T) {
 	lshape.AssembleProc(mats, own, 1, byCompose)
 
 	reads := map[string]func(m *kcm.Matrix) bool{
-		"Rows":         func(m *kcm.Matrix) bool { return len(m.Rows()) == 0 },
-		"Cols":         func(m *kcm.Matrix) bool { return len(m.Cols()) == 0 },
-		"Row":          func(m *kcm.Matrix) bool { return m.Row(kcm.Stride+1) == nil },
-		"Col":          func(m *kcm.Matrix) bool { return m.Col(kcm.Stride+1) == nil },
-		"ColByCube":    func(m *kcm.Matrix) bool { return m.ColByCube(sop.Cube{sop.Pos(0)}, 0) == nil },
-		"NumEntries":   func(m *kcm.Matrix) bool { return m.NumEntries() == 0 },
-		"MaxCubeID":    func(m *kcm.Matrix) bool { return m.MaxCubeID() == 0 },
-		"SortedColIDs": func(m *kcm.Matrix) bool { return len(m.SortedColIDs()) == 0 },
-		"Index":        func(m *kcm.Matrix) bool { ix := m.Index(); return len(ix.Rows)+len(ix.Cols) == 0 },
+		"Rows":       func(m *kcm.Matrix) bool { return len(m.Rows()) == 0 },
+		"Cols":       func(m *kcm.Matrix) bool { return len(m.Cols()) == 0 },
+		"Row":        func(m *kcm.Matrix) bool { return m.Row(kcm.Stride+1) == nil },
+		"Col":        func(m *kcm.Matrix) bool { return m.Col(kcm.Stride+1) == nil },
+		"ColByCube":  func(m *kcm.Matrix) bool { return m.ColByCube(sop.Cube{sop.Pos(0)}, 0) == nil },
+		"NumEntries": func(m *kcm.Matrix) bool { return m.NumEntries() == 0 },
+		"MaxCubeID":  func(m *kcm.Matrix) bool { return m.MaxCubeID() == 0 },
+		"Index":      func(m *kcm.Matrix) bool { ix := m.Index(); return len(ix.Rows)+len(ix.Cols) == 0 },
 	}
 	for name, m := range map[string]*kcm.Matrix{"rebuild": byRebuild, "makebatches": byBatches, "compose": byCompose} {
 		for read, empty := range reads {

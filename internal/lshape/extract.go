@@ -82,7 +82,7 @@ func ExtractCall(nw *network.Network, parts [][]sop.Var, opt Options) CallResult
 	res.Exchange = exch
 	// The Cover's set is sized for the largest cube id of any
 	// L-matrix; its memo rebinds to each matrix in turn.
-	widest := kcm.NewMatrix()
+	widest := kcm.New(nil, nil)
 	for _, l := range ls {
 		if l.MaxCubeID() > widest.MaxCubeID() {
 			widest = l

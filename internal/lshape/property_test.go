@@ -131,9 +131,6 @@ func checkSameMatrix(t *testing.T, p int, got, want *kcm.Matrix, mats []*kcm.Mat
 		t.Fatalf("proc %d: %d entries max cube %d, reference %d %d",
 			p, got.NumEntries(), got.MaxCubeID(), want.NumEntries(), want.MaxCubeID())
 	}
-	if !slices.Equal(got.SortedColIDs(), want.SortedColIDs()) {
-		t.Fatalf("proc %d: sorted columns %v, reference %v", p, got.SortedColIDs(), want.SortedColIDs())
-	}
 	gi, wi := got.Index(), want.Index()
 	if !slices.Equal(gi.RowIDs, wi.RowIDs) || !slices.Equal(gi.ColIDs, wi.ColIDs) ||
 		!slices.EqualFunc(gi.RowRefs, wi.RowRefs, slices.Equal[[]int32]) ||
@@ -148,16 +145,16 @@ func checkSameMatrix(t *testing.T, p int, got, want *kcm.Matrix, mats []*kcm.Mat
 // stored, not derived from the label, so every column stays
 // processor 0's.
 func TestOneProcessorPastStride(t *testing.T) {
-	m := kcm.NewMatrix()
 	n := kcm.Stride + 3
-	for k := range n {
-		m.InternColumn(sop.Cube{sop.Pos(sop.Var(k))}, int64(k)+1)
+	cols := make([]kcm.Col, n)
+	for k := range cols {
+		cols[k] = kcm.Col{ID: int64(k) + 1, Cube: sop.Cube{sop.Pos(sop.Var(k))}}
 	}
-	m.AddRow(&kcm.Row{ID: 1, Entries: []kcm.Entry{
+	m := kcm.New(cols, []kcm.Row{{ID: 1, Entries: []kcm.Entry{
 		{Col: 1, CubeID: 1, Weight: 2},
 		{Col: int64(n) - 1, CubeID: 2, Weight: 2},
 		{Col: int64(n), CubeID: 3, Weight: 2},
-	}})
+	}}})
 	mats := []*kcm.Matrix{m}
 	ls, exch := Assemble(mats, Distribute(mats))
 	checkSameMatrix(t, 0, ls[0], m, mats)
@@ -169,9 +166,7 @@ func TestOneProcessorPastStride(t *testing.T) {
 // TestResolveRejectsUnpositionedLabels requires Resolve to panic,
 // naming the label, on a column not labeled by its position.
 func TestResolveRejectsUnpositionedLabels(t *testing.T) {
-	m := kcm.NewMatrix()
-	m.InternColumn(sop.Cube{sop.Pos(0)}, 1)
-	m.InternColumn(sop.Cube{sop.Pos(1)}, 7)
+	m := kcm.New([]kcm.Col{{ID: 1, Cube: sop.Cube{sop.Pos(0)}}, {ID: 7, Cube: sop.Cube{sop.Pos(1)}}}, nil)
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "column 7 ") {

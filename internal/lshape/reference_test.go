@@ -98,29 +98,39 @@ func refAssemble(mats []*kcm.Matrix, o *refOwnership) ([]*refLMatrix, ExchangeSt
 		stats.Words[i] = make([]int, n)
 	}
 	out := make([]*refLMatrix, n)
+	cols := make([][]kcm.Col, n)
+	rows := make([][]kcm.Row, n)
+	// have records, per processor, the cubes its L-matrix has a
+	// column for; a cube's first column keeps its label.
+	have := make([]map[string]bool, n)
+	addCol := func(p int, cube sop.Cube, gid int64) {
+		if key := cube.String(); !have[p][key] {
+			have[p][key] = true
+			cols[p] = append(cols[p], kcm.Col{ID: gid, Cube: cube})
+		}
+	}
 	for p := range mats {
 		out[p] = &refLMatrix{
 			Proc:    p,
-			M:       kcm.NewMatrix(),
 			Owned:   o.OwnedCols(p),
 			OwnRows: map[int64]bool{},
 		}
+		have[p] = map[string]bool{}
 	}
 	// Horizontal slabs: each processor's own rows, relabeled to
 	// global column ids.
 	for p, m := range mats {
 		l := out[p]
 		for _, c := range m.Cols() {
-			gid := o.LocalToGlobal[p][c.ID]
-			l.M.InternColumn(c.Cube, gid)
+			addCol(p, c.Cube, o.LocalToGlobal[p][c.ID])
 		}
 		for _, r := range m.Rows() {
-			nr := &kcm.Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel}
+			nr := kcm.Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel}
 			for _, e := range r.Entries {
 				e.Col = o.LocalToGlobal[p][e.Col]
 				nr.Entries = append(nr.Entries, e)
 			}
-			l.M.AddRow(nr)
+			rows[p] = append(rows[p], nr)
 			l.OwnRows[r.ID] = true
 		}
 	}
@@ -144,21 +154,21 @@ func refAssemble(mats []*kcm.Matrix, o *refOwnership) ([]*refLMatrix, ExchangeSt
 				if len(entries) == 0 {
 					continue
 				}
-				nr := &kcm.Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel, Entries: entries}
-				// Intern the owned columns (they exist in j's
-				// matrix already if j had the cube; otherwise
-				// they are new to j).
+				// Add the owned columns (they exist in j's matrix
+				// already if j had the cube; otherwise they are new
+				// to j).
 				for _, e := range entries {
-					cube := refCubeOfGlobal(mats, o, e.Col)
-					l.M.InternColumn(cube, e.Col)
+					addCol(j, refCubeOfGlobal(mats, o, e.Col), e.Col)
 				}
-				l.M.AddRow(nr)
+				rows[j] = append(rows[j], kcm.Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel, Entries: entries})
 				stats.Words[i][j] += len(entries)
 			}
 		}
 	}
-	for _, l := range out {
-		l.M.SortColRows()
+	// The rows arrive out of label order: own rows first, then the
+	// legs in processor order.
+	for p, l := range out {
+		l.M = kcm.New(cols[p], rows[p])
 	}
 	return out, stats
 }

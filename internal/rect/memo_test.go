@@ -122,20 +122,20 @@ func anyFresh(c *Cover) bool {
 // relabelCubes copies m with every cube id moved up by shift, the rows
 // and columns unchanged.
 func relabelCubes(m *kcm.Matrix, shift int64) *kcm.Matrix {
-	out := kcm.NewMatrix()
+	var cols []kcm.Col
 	for _, c := range m.Cols() {
-		out.InternColumn(c.Cube, c.ID)
+		cols = append(cols, kcm.Col{ID: c.ID, Cube: c.Cube})
 	}
+	var rows []kcm.Row
 	for _, r := range m.Rows() {
 		entries := make([]kcm.Entry, len(r.Entries))
 		for i, e := range r.Entries {
 			e.CubeID += shift
 			entries[i] = e
 		}
-		out.AddRow(&kcm.Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel, Entries: entries})
+		rows = append(rows, kcm.Row{ID: r.ID, Node: r.Node, CoKernel: r.CoKernel, Entries: entries})
 	}
-	out.SortColRows()
-	return out
+	return kcm.New(cols, rows)
 }
 
 // TestPropertyCoverHighBand runs the greedy cover loop over a matrix

@@ -36,7 +36,7 @@ func randExpr(rng *rand.Rand, nv int) sop.Expr {
 
 // randMatrix builds a KC matrix from random functions. When merge is
 // true the nodes are split across two processor builders and merged,
-// exercising offset labels and the Merge relabeling path.
+// exercising offset labels and Merge.
 func randMatrix(rng *rand.Rand, merge bool) *kcm.Matrix {
 	nv := 6 + rng.Intn(5)
 	nn := 3 + rng.Intn(4)
@@ -54,9 +54,7 @@ func randMatrix(rng *rand.Rand, merge bool) *kcm.Matrix {
 		b0.AddFunction(sop.Var(100+i), randExpr(rng, nv))
 		b1.AddFunction(sop.Var(200+i), randExpr(rng, nv))
 	}
-	m := b0.Matrix()
-	kcm.Merge(m, b1.Matrix())
-	return m
+	return kcm.Merge(b0.Matrix(), b1.Matrix())
 }
 
 // allCubeIDs lists the distinct cube ids of the matrix.
@@ -143,7 +141,7 @@ func TestPropertyBestMatchesReference(t *testing.T) {
 		checkAgree(t, "bounded", m, Config{MaxCols: 3, MaxVisits: 50, Cover: cover}, nil)
 
 		// Leftmost-column decomposition: each slice agrees.
-		cols := m.SortedColIDs()
+		cols := m.Index().ColIDs
 		for p := 0; p < 3; p++ {
 			lo, hi := p*len(cols)/3, (p+1)*len(cols)/3
 			cfg := Config{Cover: cover, LeftmostCols: append([]int64(nil), cols[lo:hi]...)}
@@ -160,7 +158,7 @@ func truncRoot(m *kcm.Matrix, cfg Config, val Valuer) int {
 	ix := m.Index()
 	roots := cfg.LeftmostCols
 	if roots == nil {
-		roots = m.SortedColIDs()
+		roots = m.Index().ColIDs
 	}
 	limit := withDefaults(cfg).MaxVisits
 	total := 0
@@ -201,7 +199,7 @@ func TestPropertyGreedyCoverMatchesReference(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := randMatrix(rng, seed%2 == 1)
-		cols := m.SortedColIDs()
+		cols := m.Index().ColIDs
 		shapes := []shape{{name: "unbounded"}, {name: "truncated", truncated: true}}
 		for p := 0; p < 3; p++ {
 			slice := append([]int64(nil), cols[p*len(cols)/3:(p+1)*len(cols)/3]...)
@@ -287,16 +285,13 @@ func TestPropertyCoverAcrossMatrices(t *testing.T) {
 		for _, alternate := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(seed))
 			b0 := kcm.NewBuilder(0, kernels.Options{})
-			b0copy := kcm.NewBuilder(0, kernels.Options{})
 			b1 := kcm.NewBuilder(1, kernels.Options{})
 			for i := 0; i < 4; i++ {
-				f := randExpr(rng, 8)
-				b0.AddFunction(sop.Var(100+i), f)
-				b0copy.AddFunction(sop.Var(100+i), f)
+				b0.AddFunction(sop.Var(100+i), randExpr(rng, 8))
 				b1.AddFunction(sop.Var(200+i), randExpr(rng, 8))
 			}
-			m0, m1 := b0.Matrix(), b1.Matrix()
-			kcm.Merge(m1, b0copy.Matrix())
+			m0 := b0.Matrix()
+			m1 := kcm.Merge(b1.Matrix(), m0)
 			mats := []*kcm.Matrix{m0, m1}
 			holds := []map[int64]bool{{}, {}}
 			for p, m := range mats {
@@ -362,7 +357,7 @@ func TestPropertyBudgetInsidePresearch(t *testing.T) {
 		_, full := ReferenceBest(m, Config{}, WeightValuer)
 		ref := Config{MaxVisits: max(full.Visits/2, 1)}
 		dc := truncRoot(m, ref, WeightValuer)
-		if dc < 0 || len(m.SortedColIDs()) < 2 {
+		if dc < 0 || len(m.Index().ColIDs) < 2 {
 			continue
 		}
 		_, own := ReferenceBest(m, Config{LeftmostCols: []int64{m.Index().ColIDs[dc]}}, WeightValuer)

@@ -731,7 +731,7 @@ func compareIDs(a, b []int64) int {
 // into p contiguous slices, Figure 1's "processor 1 gets the
 // rectangles whose leftmost columns are in the left third" split.
 func SplitColumns(m *kcm.Matrix, p int) [][]int64 {
-	ids := m.SortedColIDs()
+	ids := m.Index().ColIDs
 	out := make([][]int64, p)
 	n := len(ids)
 	for i := 0; i < p; i++ {

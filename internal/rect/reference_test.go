@@ -109,12 +109,12 @@ type refSearcher struct {
 func (s *refSearcher) run(leftmost []int64) {
 	roots := leftmost
 	if roots == nil {
-		roots = s.m.SortedColIDs()
+		roots = s.m.Index().ColIDs
 	} else {
 		roots = append([]int64(nil), roots...)
 		sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
 	}
-	all := s.m.SortedColIDs()
+	all := s.m.Index().ColIDs
 	for _, c0 := range roots {
 		col := s.m.Col(c0)
 		if col == nil || len(col.RowIDs) == 0 {
